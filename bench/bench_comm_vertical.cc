@@ -95,6 +95,8 @@ void Run(bool csv) {
       Result<TwoPartyOutcome> pruned = ExecuteVertical(vp, config);
       PPD_CHECK(pruned.ok());
       PPD_CHECK(plain->alice.labels == pruned->alice.labels);
+      // peer_pruned_count is recorded once per record row, so every
+      // pruned pair is counted in both of its rows.
       uint64_t disclosed = 0;
       for (int64_t v : pruned->alice_disclosures.values("peer_pruned_count")) {
         disclosed += static_cast<uint64_t>(v);
@@ -102,6 +104,7 @@ void Run(bool csv) {
       for (int64_t v : pruned->bob_disclosures.values("peer_pruned_count")) {
         disclosed += static_cast<uint64_t>(v);
       }
+      disclosed /= 2;
       double saving =
           1.0 - static_cast<double>(pruned->alice_stats.total_bytes()) /
                     static_cast<double>(plain->alice_stats.total_bytes());

@@ -87,6 +87,14 @@ bool DetectHostIfma() {
   return (xlo & kZmmState) == kZmmState;
 }
 
+/// Per-lane v >> 52. The full-mask maskz form is the same vpsrlq; the
+/// plain _mm512_srli_epi64 passes gcc-12 an _mm512_undefined_epi32()
+/// merge source that -O3 reports as -Wmaybe-uninitialized.
+__attribute__((target("avx512f")))
+inline __m512i ShiftOutDigit(__m512i v) {
+  return _mm512_maskz_srli_epi64(static_cast<__mmask8>(0xFF), v, kDigitBits);
+}
+
 /// One 8-lane almost-Montgomery multiplication in radix 2^52:
 /// out = A·B·2^(-52K) (+ a multiple of n), digit-normalized, < 2n per
 /// lane. A, B, n52 and out are [digit][lane] arrays of K×8 u64; digits
@@ -114,7 +122,7 @@ void Amm(size_t K, const uint64_t* n52, uint64_t k0, const uint64_t* A,
     __m512i x = _mm512_madd52lo_epu64(t[0], va, vb0);
     const __m512i vm = _mm512_madd52lo_epu64(zero, x, k0v);
     x = _mm512_madd52lo_epu64(x, vm, vn0);
-    const __m512i carry = _mm512_srli_epi64(x, kDigitBits);
+    const __m512i carry = ShiftOutDigit(x);
     // Remaining digits, shifted down one slot as they complete (the /2^52
     // of the round). Each new t[j-1] = old t[j] + hi halves of digit j-1's
     // products + lo halves of digit j's.
@@ -145,7 +153,7 @@ void Amm(size_t K, const uint64_t* n52, uint64_t k0, const uint64_t* A,
   __m512i c = zero;
   for (size_t j = 0; j < K; ++j) {
     const __m512i v = _mm512_add_epi64(t[j], c);
-    c = _mm512_srli_epi64(v, kDigitBits);
+    c = ShiftOutDigit(v);
     _mm512_storeu_si512(out + j * kIfmaLanes, _mm512_and_epi64(v, mask));
   }
   PPD_CHECK(_mm512_cmpneq_epu64_mask(c, zero) == 0);

@@ -17,11 +17,13 @@ using JointRegionQueryFn =
     std::function<Result<std::vector<size_t>>(size_t idx)>;
 
 /// The Algorithm 5/6 scan over `n` shared records, parameterized by the
-/// region query. In the vertical and arbitrary protocols BOTH parties run
-/// this function in lockstep — the driver's query executes the secure
-/// comparisons and announces the resulting neighbour set, the peer's query
-/// assists and receives it — so both end with identical labels, which is
-/// exactly the output §3.3 prescribes for records known to both parties.
+/// region query. BOTH parties run this function over the same
+/// neighbourhoods, so both end with identical labels, which is exactly the
+/// output §3.3 prescribes for records known to both parties. The vertical
+/// protocol answers every query from an adjacency both parties built in
+/// its bulk phase; the arbitrary protocol runs the scan in lockstep — the
+/// driver's query executes the secure comparisons and announces the
+/// resulting neighbour set, the peer's query assists and receives it.
 inline Result<PartyClusteringResult> JointDbscanScan(
     size_t n, const DbscanParams& params, const JointRegionQueryFn& query) {
   PartyClusteringResult result;

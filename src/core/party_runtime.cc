@@ -532,7 +532,8 @@ Result<RunOutcome> PartyRuntime::RunJobRounds(const ClusteringJob& job) {
   // The planner block is always reported; exact-mode runs fill in their
   // measured comparisons with zero savings. Vertical/arbitrary runs treat
   // kPrune as a documented no-op (their parties share the record id space
-  // already), so only the mode tag is populated there.
+  // already); vertical runs report their measured comparisons, arbitrary
+  // runs only the mode tag.
   outcome.plan.mode = job.options.plan.mode;
   outcome.plan.sieve_k = job.options.plan.mode == PlanMode::kSieve
                              ? job.options.plan.sieve_k
@@ -551,7 +552,7 @@ Result<RunOutcome> PartyRuntime::RunJobRounds(const ClusteringJob& job) {
     case PartitionScheme::kVertical:
       clustering = RunVerticalDbscan(
           *links_[0], *sessions_[0], std::get<Dataset>(job.data), job.role,
-          job.options, *rng_, &outcome.disclosures);
+          job.options, *rng_, &outcome.disclosures, &outcome.plan);
       break;
     case PartitionScheme::kArbitrary:
       clustering = RunArbitraryDbscan(

@@ -22,12 +22,17 @@ inline constexpr uint16_t kSelCompare = 0x1010;  // payload: u32 i, u32 j
 inline constexpr uint16_t kSelFinal = 0x1011;    // payload: u32 i (vs Eps²)
 inline constexpr uint16_t kSelDone = 0x1012;     // core test finished
 
-// Vertical protocol (Algorithms 5/6).
+// Vertical protocol (Algorithms 5/6). The vertical scan opens with
+// kVtHello (u32 record count, u8 pruning flag) and, when pruning, the
+// packed upper-triangle kVtPrune bitmap; kVtResults carries one flight's
+// comparison bits. kVtQuery/kVtNeighbours drive the arbitrary scan's
+// per-query loop.
 inline constexpr uint16_t kVtQuery = 0x1020;      // payload: u32 point index
 inline constexpr uint16_t kVtNeighbours = 0x1021; // driver's neighbour id list
 inline constexpr uint16_t kVtDone = 0x1022;
 inline constexpr uint16_t kVtHello = 0x1023;      // payload: u32 record count
 inline constexpr uint16_t kVtPrune = 0x1024;      // payload: prune bitmap (E9)
+inline constexpr uint16_t kVtResults = 0x1025;    // payload: packed flight bits
 
 // Arbitrary protocol (§4.4) reuses the vertical loop tags plus a per-pair
 // HDP exchange for the cross-owned attributes.

@@ -273,10 +273,55 @@ class IdealComparator : public SecureComparator {
  protected:
   Result<bool> QuerierCompareImpl(Channel& channel, const BigInt& x_q,
                                   const BigInt& threshold) override {
+    PPD_RETURN_IF_ERROR(SendQuery(channel, x_q, threshold));
+    return ReadAnswer(channel);
+  }
+
+  Status PeerAssistImpl(Channel& channel, const BigInt& x_p) override {
+    PPD_ASSIGN_OR_RETURN(BigInt slack, ReadQuery(channel));
+    return SendAnswer(channel, slack, x_p);
+  }
+
+  // Batched rounds: all queries, then all answers, with the per-message
+  // format of the serial path.
+  Result<std::vector<bool>> QuerierCompareBatchImpl(
+      Channel& channel, const std::vector<BigInt>& xqs,
+      const BigInt& threshold) override {
+    for (const BigInt& x_q : xqs) {
+      PPD_RETURN_IF_ERROR(SendQuery(channel, x_q, threshold));
+    }
+    std::vector<bool> bits(xqs.size());
+    for (size_t i = 0; i < xqs.size(); ++i) {
+      PPD_ASSIGN_OR_RETURN(bool bit, ReadAnswer(channel));
+      bits[i] = bit;
+    }
+    return bits;
+  }
+
+  Status PeerAssistBatchImpl(Channel& channel,
+                             const std::vector<BigInt>& xps) override {
+    std::vector<BigInt> slacks;
+    slacks.reserve(xps.size());
+    for (size_t i = 0; i < xps.size(); ++i) {
+      PPD_ASSIGN_OR_RETURN(BigInt slack, ReadQuery(channel));
+      slacks.push_back(std::move(slack));
+    }
+    for (size_t i = 0; i < xps.size(); ++i) {
+      PPD_RETURN_IF_ERROR(SendAnswer(channel, slacks[i], xps[i]));
+    }
+    return Status::Ok();
+  }
+
+ private:
+  Status SendQuery(Channel& channel, const BigInt& x_q,
+                   const BigInt& threshold) {
     const BigInt& n = session_.own_paillier_ctx().pub().n;
     ByteWriter out;
     WriteBigInt(out, (threshold - x_q).Mod(n));
-    PPD_RETURN_IF_ERROR(SendMessage(channel, kIdealQuery, out));
+    return SendMessage(channel, kIdealQuery, out);
+  }
+
+  static Result<bool> ReadAnswer(Channel& channel) {
     PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                          ExpectMessage(channel, kIdealAnswer));
     ByteReader reader(payload);
@@ -285,21 +330,23 @@ class IdealComparator : public SecureComparator {
     return bit == 1;
   }
 
-  Status PeerAssistImpl(Channel& channel, const BigInt& x_p) override {
-    // The peer's view of the querier's modulus.
-    const PaillierContext& peer = session_.peer_paillier();
+  static Result<BigInt> ReadQuery(Channel& channel) {
     PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                          ExpectMessage(channel, kIdealQuery));
     ByteReader reader(payload);
-    PPD_ASSIGN_OR_RETURN(BigInt slack, ReadBigInt(reader));
-    // Centre (slack − x_p) mod n: non-negative  <=>  x_q + x_p <= T.
+    return ReadBigInt(reader);
+  }
+
+  Status SendAnswer(Channel& channel, const BigInt& slack, const BigInt& x_p) {
+    // The peer's view of the querier's modulus. Centre (slack − x_p) mod
+    // n: non-negative  <=>  x_q + x_p <= T.
+    const PaillierContext& peer = session_.peer_paillier();
     BigInt diff = peer.DecodeSigned((slack - x_p).Mod(peer.pub().n));
     ByteWriter out;
     out.PutU8(diff.IsNegative() ? 0 : 1);
     return SendMessage(channel, kIdealAnswer, out);
   }
 
- private:
   const SmcSession& session_;
 };
 

@@ -53,10 +53,11 @@ class SecureComparator {
 
   /// Batched querier role: element-wise QuerierCompare of xqs[i] against a
   /// shared threshold. The per-comparison wire format and leakage are those
-  /// of the backend; backends with non-interactive rounds (blinded
-  /// Paillier) override to run the cryptography through the Paillier batch
-  /// APIs. Both parties must use the batched entry points together, with
-  /// equal counts.
+  /// of the backend; backends with non-interactive rounds override to send
+  /// all queries, then all answers (blinded Paillier also runs the
+  /// cryptography through the Paillier batch APIs; ideal just regroups
+  /// the messages). Both parties must use the batched entry points
+  /// together, with equal counts.
   ///
   /// Batches larger than max_batch_in_flight are split into chunks so the
   /// all-queries-then-all-answers rounds of non-interactive backends cannot
