@@ -1,6 +1,5 @@
 #include "core/horizontal.h"
 
-#include <deque>
 #include <set>
 
 #include "core/distance_protocols.h"
@@ -16,33 +15,25 @@ namespace ppdbscan {
 
 namespace {
 
-/// One core-point decision for the scanning party: local neighbour count
-/// plus the privacy-preserving peer contribution.
-Result<bool> DriverCoreTest(Channel& channel, const SmcSession& session,
-                            SecureComparator& comparator,
-                            const std::vector<int64_t>& point,
-                            size_t own_neighbours,
-                            const ProtocolOptions& options, SecureRng& rng,
-                            DisclosureLog* disclosures,
-                            uint64_t* selection_comparisons) {
-  if (options.mode == HorizontalMode::kBasic) {
-    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryBasic,
-                                    std::vector<uint8_t>()));
-    PPD_ASSIGN_OR_RETURN(
-        size_t peer_count,
-        HdpBatchDriver(channel, session, comparator, point,
-                       options.params.eps_squared, rng));
-    if (disclosures != nullptr) {
-      disclosures->Record("peer_neighbor_count",
-                          static_cast<int64_t>(peer_count));
-    }
-    return own_neighbours + peer_count >= options.params.min_pts;
-  }
+PartyClusteringResult ToPartyResult(DbscanResult scan) {
+  PartyClusteringResult result;
+  result.labels = std::move(scan.labels);
+  result.is_core = std::move(scan.is_core);
+  result.num_clusters = scan.num_clusters;
+  return result;
+}
 
+/// One §5 enhanced core test (Algorithm 7/8) for a point whose peer
+/// deficit is `k_star`: the driver learns only whether the peer holds at
+/// least k_star points within Eps.
+Result<bool> EnhancedCoreTest(Channel& channel, const SmcSession& session,
+                              SecureComparator& comparator,
+                              const std::vector<int64_t>& point,
+                              int64_t k_star, const ProtocolOptions& options,
+                              SecureRng& rng, DisclosureLog* disclosures,
+                              uint64_t* selection_comparisons) {
   PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryEnhanced,
                                   std::vector<uint8_t>()));
-  int64_t k_star = static_cast<int64_t>(options.params.min_pts) -
-                   static_cast<int64_t>(own_neighbours);
   uint64_t comparisons = 0;
   PPD_ASSIGN_OR_RETURN(
       bool core,
@@ -56,69 +47,69 @@ Result<bool> DriverCoreTest(Channel& channel, const SmcSession& session,
   return core;
 }
 
-/// Algorithm 3/4 (or 7/8) scan over this party's own points. Under the
-/// pruning plan, `boundary` marks the points that can possibly have peer
-/// neighbours; for the rest (interior points) the core decision is made
-/// locally with no protocol round at all — their peer count is provably
-/// zero, so the decision matches exact mode bit for bit. Null boundary
-/// means every point is tested (exact mode).
+/// Algorithm 3/4 (or 7/8) over this party's own points, in two phases.
+/// Phase 1 decides every core flag. Under the pruning plan, `boundary`
+/// marks the points that can possibly have peer neighbours; the rest
+/// (interior points) decide locally with no protocol round — their peer
+/// count is provably zero. Every other point is a candidate: basic mode
+/// asks for all candidates' peer counts in one batched membership round
+/// (smc/membership.h), enhanced mode runs one §5 core test per candidate
+/// in index order. Phase 2 expands locally (ExpandWithCoreFlags); core
+/// status does not depend on scan order, so the labels equal those of a
+/// scan that tests each point when it reaches it. Null boundary means
+/// every point is a candidate (exact mode).
 Result<PartyClusteringResult> DriverScan(
     Channel& channel, const SmcSession& session, SecureComparator& comparator,
     const Dataset& own, const ProtocolOptions& options, SecureRng& rng,
     DisclosureLog* disclosures, uint64_t* selection_comparisons,
     const std::vector<bool>* boundary) {
-  PartyClusteringResult result;
-  result.labels.assign(own.size(), kUnclassified);
-  result.is_core.assign(own.size(), false);
+  const DbscanParams& params = options.params;
   LinearRegionQuerier local(own);
-  int32_t cluster_id = 0;
-
-  auto core_test = [&](size_t idx,
-                       size_t own_neighbours) -> Result<bool> {
-    if (boundary != nullptr && !(*boundary)[idx]) {
-      return own_neighbours >= options.params.min_pts;
-    }
-    return DriverCoreTest(channel, session, comparator, own.point(idx),
-                          own_neighbours, options, rng, disclosures,
-                          selection_comparisons);
-  };
-
+  std::vector<size_t> own_counts(own.size());
+  std::vector<bool> core(own.size());
+  std::vector<size_t> candidates;
   for (size_t i = 0; i < own.size(); ++i) {
-    if (result.labels[i] != kUnclassified) continue;
-    std::vector<size_t> seeds = local.Query(i, options.params.eps_squared);
-    PPD_ASSIGN_OR_RETURN(bool core, core_test(i, seeds.size()));
-    if (!core) {
-      result.labels[i] = kNoise;
-      continue;
+    own_counts[i] = local.Query(i, params.eps_squared).size();
+    if (boundary != nullptr && !(*boundary)[i]) {
+      core[i] = own_counts[i] >= params.min_pts;
+    } else {
+      candidates.push_back(i);
     }
-    result.is_core[i] = true;
-    std::deque<size_t> queue;
-    for (size_t s : seeds) {
-      result.labels[s] = cluster_id;
-      if (s != i) queue.push_back(s);
-    }
-    while (!queue.empty()) {
-      size_t current = queue.front();
-      queue.pop_front();
-      std::vector<size_t> neighbourhood =
-          local.Query(current, options.params.eps_squared);
-      PPD_ASSIGN_OR_RETURN(bool current_core,
-                           core_test(current, neighbourhood.size()));
-      if (!current_core) continue;
-      result.is_core[current] = true;
-      for (size_t q : neighbourhood) {
-        if (result.labels[q] == kUnclassified || result.labels[q] == kNoise) {
-          if (result.labels[q] == kUnclassified) queue.push_back(q);
-          result.labels[q] = cluster_id;
-        }
-      }
-    }
-    ++cluster_id;
   }
-  result.num_clusters = static_cast<size_t>(cluster_id);
+
+  if (options.mode == HorizontalMode::kBasic && !candidates.empty()) {
+    std::vector<std::vector<int64_t>> queries;
+    queries.reserve(candidates.size());
+    for (size_t i : candidates) queries.push_back(own.point(i));
+    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryMembership,
+                                    std::vector<uint8_t>()));
+    PPD_ASSIGN_OR_RETURN(
+        std::vector<size_t> peer_counts,
+        MembershipBatchDriver(channel, session, comparator, queries,
+                              params.eps_squared, rng));
+    for (size_t t = 0; t < candidates.size(); ++t) {
+      if (disclosures != nullptr) {
+        disclosures->Record("peer_neighbor_count",
+                            static_cast<int64_t>(peer_counts[t]));
+      }
+      core[candidates[t]] =
+          own_counts[candidates[t]] + peer_counts[t] >= params.min_pts;
+    }
+  } else if (options.mode == HorizontalMode::kEnhanced) {
+    for (size_t i : candidates) {
+      const int64_t k_star = static_cast<int64_t>(params.min_pts) -
+                             static_cast<int64_t>(own_counts[i]);
+      PPD_ASSIGN_OR_RETURN(
+          bool is_core,
+          EnhancedCoreTest(channel, session, comparator, own.point(i), k_star,
+                           options, rng, disclosures, selection_comparisons));
+      core[i] = is_core;
+    }
+  }
   PPD_RETURN_IF_ERROR(
       SendMessage(channel, wire::kHzScanDone, std::vector<uint8_t>()));
-  return result;
+
+  return ToPartyResult(ExpandWithCoreFlags(own, params, core, &local));
 }
 
 /// Serves the peer's scan. `own` is this party's plan view — the full
@@ -296,8 +287,6 @@ Result<PartyClusteringResult> SieveDriverScan(
       }
       return own_full + size_t{k} * peer_count >= options.params.min_pts;
     }
-    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryEnhanced,
-                                    std::vector<uint8_t>()));
     // own_full + k·peer >= MinPts  ⟺  peer >= ceil((MinPts − own_full)/k):
     // the §5 test asks whether the peer's k*-th smallest distance is within
     // Eps, so the deficit is divided by the sieve stride.
@@ -305,19 +294,8 @@ Result<PartyClusteringResult> SieveDriverScan(
                             static_cast<int64_t>(own_full);
     const int64_t k_star =
         deficit > 0 ? (deficit + k - 1) / static_cast<int64_t>(k) : deficit;
-    uint64_t comparisons = 0;
-    PPD_ASSIGN_OR_RETURN(
-        bool core,
-        EnhancedCoreTestDriver(channel, session, comparator, point, k_star,
-                               options.params.eps_squared, options.selection,
-                               options.share_mask_bits, rng, &comparisons));
-    if (selection_comparisons != nullptr) {
-      *selection_comparisons += comparisons;
-    }
-    if (disclosures != nullptr) {
-      disclosures->Record("peer_core_bit", core ? 1 : 0);
-    }
-    return core;
+    return EnhancedCoreTest(channel, session, comparator, point, k_star,
+                            options, rng, disclosures, selection_comparisons);
   };
   hooks.membership = [&](const std::vector<std::vector<int64_t>>& queries)
       -> Result<std::vector<size_t>> {
@@ -339,11 +317,7 @@ Result<PartyClusteringResult> SieveDriverScan(
                        RunSievePlan(own, options.params, k, hooks, stats));
   PPD_RETURN_IF_ERROR(
       SendMessage(channel, wire::kHzScanDone, std::vector<uint8_t>()));
-  PartyClusteringResult result;
-  result.labels = std::move(sieved.labels);
-  result.is_core = std::move(sieved.is_core);
-  result.num_clusters = sieved.num_clusters;
-  return result;
+  return ToPartyResult(std::move(sieved));
 }
 
 /// Disjoint-set union for the merge relabeling.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 
 namespace ppdbscan {
 
@@ -116,50 +115,24 @@ Result<DbscanResult> RunSievePlan(const Dataset& own,
   const size_t m = sieved.size();
 
   GridRegionQuerier full(own, eps2);
-  LinearRegionQuerier sub(sieved_view);
   auto own_full_count = [&full, eps2](size_t original_idx) {
     return full.Query(original_idx, eps2).size();
   };
 
-  // Phase 1: the exact scan structure (DriverScan in core/horizontal.cc)
-  // over the sieved subset, with the hook as the core oracle.
-  std::vector<int32_t> sub_labels(m, kUnclassified);
-  std::vector<bool> sub_core(m, false);
-  int32_t cluster_id = 0;
+  // Phase 1: the exact scan over the sieved subset. Core status does not
+  // depend on scan order, so the hook tests every sieved point once, in
+  // index order, and the subset then expands locally.
+  std::vector<bool> sub_flags(m);
   for (size_t si = 0; si < m; ++si) {
-    if (sub_labels[si] != kUnclassified) continue;
-    std::vector<size_t> seeds = sub.Query(si, eps2);
     PPD_ASSIGN_OR_RETURN(
         bool core,
         hooks.core_test(own.point(sieved[si]), own_full_count(sieved[si])));
-    if (!core) {
-      sub_labels[si] = kNoise;
-      continue;
-    }
-    sub_core[si] = true;
-    std::deque<size_t> queue;
-    for (size_t s : seeds) {
-      sub_labels[s] = cluster_id;
-      if (s != si) queue.push_back(s);
-    }
-    while (!queue.empty()) {
-      size_t current = queue.front();
-      queue.pop_front();
-      std::vector<size_t> neighbourhood = sub.Query(current, eps2);
-      PPD_ASSIGN_OR_RETURN(bool current_core,
-                           hooks.core_test(own.point(sieved[current]),
-                                           own_full_count(sieved[current])));
-      if (!current_core) continue;
-      sub_core[current] = true;
-      for (size_t q : neighbourhood) {
-        if (sub_labels[q] == kUnclassified || sub_labels[q] == kNoise) {
-          if (sub_labels[q] == kUnclassified) queue.push_back(q);
-          sub_labels[q] = cluster_id;
-        }
-      }
-    }
-    ++cluster_id;
+    sub_flags[si] = core;
   }
+  const DbscanResult sub = ExpandWithCoreFlags(sieved_view, params, sub_flags);
+  const std::vector<int32_t>& sub_labels = sub.labels;
+  const std::vector<bool>& sub_core = sub.is_core;
+  int32_t cluster_id = static_cast<int32_t>(sub.num_clusters);
   for (size_t si = 0; si < m; ++si) {
     result.labels[sieved[si]] = sub_labels[si];
     result.is_core[sieved[si]] = sub_core[si];

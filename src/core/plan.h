@@ -139,9 +139,10 @@ struct SievePeerHooks {
       membership;
 };
 
-/// The sieve plan, peer-agnostic: (1) DBSCAN-scan the deterministic 1-in-k
-/// subset, testing cores via hooks.core_test with full local counts;
-/// (2) assign each leftover point to the cluster of its first (lowest
+/// The sieve plan, peer-agnostic: (1) core-test every point of the
+/// deterministic 1-in-k subset once, in index order, via hooks.core_test
+/// with full local counts, then expand the subset locally
+/// (ExpandWithCoreFlags); (2) assign each leftover point to the cluster of its first (lowest
 /// subset index) sieved local core within Eps; (3) for leftovers with no
 /// such core, decide core-ness from own_full plus one batched
 /// hooks.membership round (k-scaled), and let each surviving core found in

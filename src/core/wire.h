@@ -51,7 +51,8 @@ inline constexpr uint16_t kMergeLinks = 0x1041;   // payload: linked pairs
 // can predict its encrypted-comparison bill before the first round.
 // kHzQueryMembership asks the responder to serve one batched encrypted
 // eps-membership round (smc/membership.h) over its plan-subset view — the
-// sieve plan's leftover-rescue round.
+// two-party basic scan's bulk core-flag round and the sieve plan's
+// leftover-rescue round.
 inline constexpr uint16_t kPlanBounds = 0x1070;
 inline constexpr uint16_t kPlanBands = 0x1071;
 inline constexpr uint16_t kHzQueryMembership = 0x1072;

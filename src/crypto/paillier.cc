@@ -249,6 +249,13 @@ BigInt PaillierContext::MulPlain(const BigInt& c, const BigInt& k) const {
   return ctx_n2_->Exp(c, k.Mod(pub_.n));
 }
 
+Result<BigInt> PaillierContext::Negate(const BigInt& c) const {
+  if (!IsValidCiphertext(c)) {
+    return Status::InvalidArgument("invalid ciphertext");
+  }
+  return BigInt::ModInverse(c, pub_.n_squared);
+}
+
 Result<BigInt> PaillierContext::Rerandomize(const BigInt& c,
                                             SecureRng& rng) const {
   if (!IsValidCiphertext(c)) {

@@ -74,6 +74,16 @@ class PaillierContext {
   /// k may be negative (reduced mod n first).
   BigInt MulPlain(const BigInt& c, const BigInt& k) const;
 
+  /// Homomorphic negation: D(Negate(E(m))) = −m mod n, computed as the
+  /// inverse c⁻¹ mod n². For k < 0, MulPlain(Negate(c), −k) decrypts like
+  /// MulPlain(c, k) but exponentiates by |k| instead of the full-width
+  /// k mod n, so a caller that reuses one cipher for several negative
+  /// scalars inverts it once and saves a full exponentiation per use. The
+  /// two products differ by an encryption of zero (c^n), so they decrypt
+  /// equal but are not byte-equal. Fails with kInvalidArgument when c is
+  /// out of range or not a unit mod n² — never for an honest ciphertext.
+  Result<BigInt> Negate(const BigInt& c) const;
+
   // --- Offline/online encryption split -------------------------------------
   // Encrypt(m) factors as g^m · (r^n mod n²); the second term is independent
   // of m and dominates the cost. These pieces let callers (and

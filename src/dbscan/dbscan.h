@@ -49,6 +49,20 @@ struct DbscanResult {
 DbscanResult RunDbscan(const Dataset& dataset, const DbscanParams& params,
                        const RegionQuerier* querier = nullptr);
 
+/// The expansion half of DBSCAN with the core predicate decided up front:
+/// `core[i]` says whether point i is a core point. Runs RunDbscan's scan
+/// (ascending, seeds in the querier's order, a border point keeps the
+/// first cluster that claims it) with `core` in place of the neighbour
+/// count. A point's core status does not depend on scan order, so the
+/// labels equal those of a scan that tests each point when it reaches it
+/// — which is what lets the protocols compute every core flag in bulk
+/// first (core/horizontal.h) and then expand locally. `is_core` in the
+/// result equals `core`.
+DbscanResult ExpandWithCoreFlags(const Dataset& dataset,
+                                 const DbscanParams& params,
+                                 const std::vector<bool>& core,
+                                 const RegionQuerier* querier = nullptr);
+
 }  // namespace ppdbscan
 
 #endif  // PPDBSCAN_DBSCAN_DBSCAN_H_

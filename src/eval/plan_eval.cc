@@ -1,67 +1,28 @@
 #include "eval/plan_eval.h"
 
-#include <deque>
-
 namespace ppdbscan {
 
 DbscanResult SimulateHorizontalParty(const Dataset& own,
                                      const std::vector<const Dataset*>& peers,
                                      const DbscanParams& params) {
-  DbscanResult result;
-  result.labels.assign(own.size(), kUnclassified);
-  result.is_core.assign(own.size(), false);
-  // The linear querier, not the grid: DriverScan seeds its expansion queue
-  // in the linear querier's ascending order, and border points adjacent to
-  // two clusters keep whichever cluster reached them first — byte-identical
-  // labels require identical traversal order.
+  // The linear querier, not the grid: the protocol expands in the linear
+  // querier's ascending order, and border points adjacent to two clusters
+  // keep whichever cluster reached them first — byte-identical labels
+  // require identical traversal order.
   LinearRegionQuerier local(own);
-  int32_t cluster_id = 0;
-
-  auto peer_neighbours = [&](const std::vector<int64_t>& point) {
-    size_t total = 0;
+  std::vector<bool> core(own.size());
+  for (size_t i = 0; i < own.size(); ++i) {
+    size_t total = local.Query(i, params.eps_squared).size();
     for (const Dataset* peer : peers) {
       for (size_t k = 0; k < peer->size(); ++k) {
-        if (peer->DistanceSquaredTo(k, point) <= params.eps_squared) ++total;
-      }
-    }
-    return total;
-  };
-  auto core_test = [&](size_t idx, size_t own_neighbours) {
-    return own_neighbours + peer_neighbours(own.point(idx)) >=
-           params.min_pts;
-  };
-
-  for (size_t i = 0; i < own.size(); ++i) {
-    if (result.labels[i] != kUnclassified) continue;
-    std::vector<size_t> seeds = local.Query(i, params.eps_squared);
-    if (!core_test(i, seeds.size())) {
-      result.labels[i] = kNoise;
-      continue;
-    }
-    result.is_core[i] = true;
-    std::deque<size_t> queue;
-    for (size_t s : seeds) {
-      result.labels[s] = cluster_id;
-      if (s != i) queue.push_back(s);
-    }
-    while (!queue.empty()) {
-      size_t current = queue.front();
-      queue.pop_front();
-      std::vector<size_t> neighbourhood =
-          local.Query(current, params.eps_squared);
-      if (!core_test(current, neighbourhood.size())) continue;
-      result.is_core[current] = true;
-      for (size_t q : neighbourhood) {
-        if (result.labels[q] == kUnclassified || result.labels[q] == kNoise) {
-          if (result.labels[q] == kUnclassified) queue.push_back(q);
-          result.labels[q] = cluster_id;
+        if (peer->DistanceSquaredTo(k, own.point(i)) <= params.eps_squared) {
+          ++total;
         }
       }
     }
-    ++cluster_id;
+    core[i] = total >= params.min_pts;
   }
-  result.num_clusters = static_cast<size_t>(cluster_id);
-  return result;
+  return ExpandWithCoreFlags(own, params, core, &local);
 }
 
 }  // namespace ppdbscan

@@ -10,10 +10,6 @@ namespace ppdbscan {
 
 namespace {
 
-constexpr uint16_t kMshBegin = 0x0411;     // Driver -> Responder: Q, dims
-constexpr uint16_t kMshCiphers = 0x0412;   // Responder -> Driver: E(y) matrix
-constexpr uint16_t kMshResponse = 0x0413;  // Driver -> Responder: masked products
-
 /// Zero-sum masks over Z_n (the HDP masking step): m uniform values with
 /// Σr_j = 0 (mod n).
 std::vector<BigInt> ZeroSumMasks(SecureRng& rng, size_t m, const BigInt& n) {
@@ -65,7 +61,6 @@ Result<std::vector<size_t>> MembershipBatchDriver(
   ByteReader reader(payload);
   PPD_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
   PPD_ASSIGN_OR_RETURN(uint32_t peer_dims, reader.GetU32());
-  if (count == 0) return counts;  // nothing to compare against
   if (peer_dims != dims) {
     return AbortPeer(channel,
                      Status::DataLoss("membership dimension mismatch"),
@@ -92,6 +87,34 @@ Result<std::vector<size_t>> MembershipBatchDriver(
                      Status::DataLoss("trailing membership cipher bytes"),
                      "membership trailing bytes");
   }
+  if (count == 0) return counts;  // nothing to compare against
+
+  // E(y)^k for k < 0 would exponentiate by the full-width k mod n once per
+  // query. Instead invert each cipher once, only in the columns where some
+  // query is negative, and raise E(y)⁻¹ = E(−y) to |k|.
+  std::vector<bool> negative_column(dims, false);
+  for (const std::vector<int64_t>& q : queries) {
+    for (size_t j = 0; j < dims; ++j) {
+      if (q[j] < 0) negative_column[j] = true;
+    }
+  }
+  std::vector<BigInt> negated(per_query);
+  std::vector<uint8_t> not_invertible(per_query, 0);
+  ParallelFor(per_query, [&](size_t i) {
+    if (!negative_column[i % dims]) return;
+    Result<BigInt> inverse = peer.Negate(ciphers[i]);
+    if (inverse.ok()) {
+      negated[i] = std::move(inverse).value();
+    } else {
+      not_invertible[i] = 1;
+    }
+  });
+  if (std::find(not_invertible.begin(), not_invertible.end(), 1) !=
+      not_invertible.end()) {
+    return AbortPeer(channel,
+                     Status::DataLoss("membership cipher not invertible"),
+                     "membership cipher not invertible");
+  }
 
   // S_A per query, reused across that query's comparisons.
   std::vector<BigInt> s_a(q_count);
@@ -117,19 +140,30 @@ Result<std::vector<size_t>> MembershipBatchDriver(
         }
       }
     }
-    std::vector<BigInt> scalars(qn * dims);
+    std::vector<BigInt> magnitudes(qn * dims);
     for (size_t qi = 0; qi < qn; ++qi) {
       for (size_t j = 0; j < dims; ++j) {
-        scalars[qi * dims + j] = BigInt(queries[q0 + qi][j]);
+        magnitudes[qi * dims + j] = BigInt(queries[q0 + qi][j]).Abs();
       }
     }
     std::vector<BigInt> products(total);
     ParallelFor(total, [&](size_t i) {
       const size_t qi = i / per_query;
       const size_t j = i % dims;
-      products[i] = peer.MulPlain(ciphers[i % per_query],
-                                  scalars[qi * dims + j]);
+      const size_t c = i % per_query;
+      const bool negative = queries[q0 + qi][j] < 0;
+      products[i] = peer.MulPlain(negative ? negated[c] : ciphers[c],
+                                  magnitudes[qi * dims + j]);
     });
+    // A cipher that is not a unit mod n² can power to 0, which no
+    // homomorphic step accepts: reject the peer's matrix instead.
+    for (const BigInt& product : products) {
+      if (!peer.IsValidCiphertext(product)) {
+        return AbortPeer(channel,
+                         Status::DataLoss("membership cipher not invertible"),
+                         "membership cipher not invertible");
+      }
+    }
     PPD_ASSIGN_OR_RETURN(std::vector<BigInt> mask_ciphers,
                          peer.EncryptBatch(masks, rng));
     std::vector<BigInt> blinded = peer.AddBatch(products, mask_ciphers);
@@ -209,10 +243,22 @@ Status MembershipBatchResponder(
     PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                          ExpectMessage(channel, kMshResponse));
     ByteReader reader(payload);
+    if (total > reader.remaining() / 5) {
+      return AbortPeer(channel,
+                       Status::DataLoss("membership response truncated"),
+                       "membership response truncated");
+    }
     std::vector<BigInt> response;
     response.reserve(total);
     for (size_t i = 0; i < total; ++i) {
-      PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
+      Result<BigInt> read = ReadBigInt(reader);
+      if (!read.ok()) {
+        return AbortPeer(channel,
+                         Status::DataLoss("membership response unreadable: " +
+                                          read.status().message()),
+                         "membership response unreadable");
+      }
+      BigInt cipher = std::move(read).value();
       if (!ctx.IsValidCiphertext(cipher)) {
         return AbortPeer(
             channel, Status::DataLoss("membership response cipher invalid"),

@@ -27,12 +27,25 @@ namespace ppdbscan {
 /// at most kMshMaxCiphersPerFlight masked products per message (both sides
 /// derive the same split from the public sizes), keeping frames bounded.
 ///
+/// The driver inverts each responder cipher once in the columns where some
+/// query coordinate is negative (PaillierContext::Negate), so a negative
+/// scalar costs a |k|-bit exponent rather than a full-width one. A cipher
+/// with no inverse mod n² is a hostile matrix and fails kDataLoss.
+///
 /// Linkage: instead of HDP's fresh presentation permutation per query, the
 /// responder applies a fresh permutation to its comparison SHARES per
 /// query. The driver's per-pair bits therefore arrive in an order it
 /// cannot map to stable responder points, so results cannot be correlated
 /// across queries; only the per-query counts survive.
 inline constexpr size_t kMshMaxCiphersPerFlight = size_t{1} << 14;
+
+/// Wire tags. kMshBegin (driver → responder): u32 Q, u32 dims.
+/// kMshCiphers (responder → driver): u32 P, u32 dims, then the P × dims
+/// E(y) matrix. kMshResponse (driver → responder): one flight's masked
+/// products, Q_flight × P × dims ciphers.
+inline constexpr uint16_t kMshBegin = 0x0411;
+inline constexpr uint16_t kMshCiphers = 0x0412;
+inline constexpr uint16_t kMshResponse = 0x0413;
 
 /// Driver side: returns counts[q] = |{k : dist(queries[q], point_k) <=
 /// sqrt(eps_squared)}|. All queries must share one dimensionality (which

@@ -2,12 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <thread>
+
+#include "bigint/codec.h"
+#include "core/plan.h"
 #include "core/run.h"
+#include "core/wire.h"
 #include "data/fixed_point.h"
 #include "data/generators.h"
 #include "data/partitioners.h"
 #include "dbscan/dbscan.h"
+#include "dbscan/grid_index.h"
 #include "eval/metrics.h"
+#include "eval/plan_eval.h"
+#include "net/memory_channel.h"
+#include "net/message.h"
+#include "smc/membership.h"
 
 namespace ppdbscan {
 namespace {
@@ -286,6 +299,316 @@ TEST(HorizontalTest, CommunicationIsSymmetricallyAccounted) {
   EXPECT_EQ((*out)[0].stats.bytes_sent, (*out)[1].stats.bytes_received);
   EXPECT_EQ((*out)[1].stats.bytes_sent, (*out)[0].stats.bytes_received);
   EXPECT_GT((*out)[0].stats.bytes_sent, 0u);
+}
+
+// --- Bulk core-flag scan ------------------------------------------------
+// The driver decides every core flag first (one batched membership round
+// in basic mode, one §5 test per candidate in enhanced mode), then expands
+// locally. These cases pin the labels to the plaintext oracle, the
+// disclosures to the plaintext per-candidate counts, the round count to a
+// constant, and every malformed membership frame to a named kDataLoss.
+
+/// Blobs centred in [-6, 6]² (so coordinates of both signs reach the
+/// inverse path) plus uniform noise, split spatially so prune mode has
+/// both interior and band points.
+HorizontalPartition BulkFixture(uint64_t seed, size_t per_blob) {
+  SecureRng rng(seed);
+  RawDataset raw = MakeBlobs(rng, 3, per_blob, 2, 0.5, 6.0);
+  AddUniformNoise(raw, rng, per_blob / 3 + 1, 9.0);
+  FixedPointEncoder enc(4.0);
+  return *PartitionHorizontalSpatial(*enc.Encode(raw), 0, 0.5);
+}
+
+constexpr int64_t kBulkEpsSquared = 23;  // Eps = 1.2 at scale 4
+constexpr size_t kBulkMinPts = 4;
+
+/// Plaintext |{peer points within Eps}| for each point of `own` in `ids`.
+std::vector<int64_t> PeerCounts(const Dataset& own, const Dataset& peer,
+                                const std::vector<size_t>& ids) {
+  std::vector<int64_t> counts;
+  for (size_t i : ids) {
+    int64_t c = 0;
+    for (size_t k = 0; k < peer.size(); ++k) {
+      if (peer.DistanceSquaredTo(k, own.point(i)) <= kBulkEpsSquared) ++c;
+    }
+    counts.push_back(c);
+  }
+  std::sort(counts.begin(), counts.end());
+  return counts;
+}
+
+std::vector<int64_t> SortedValues(const DisclosureLog& log,
+                                  const std::string& category) {
+  std::vector<int64_t> values = log.values(category);
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+TEST(HorizontalBulkScanTest, LabelsMatchSimulatorAcrossModes) {
+  HorizontalPartition hp = BulkFixture(31, 10);
+  const DbscanParams params{kBulkEpsSquared, kBulkMinPts};
+  const DbscanResult sim[2] = {
+      SimulateHorizontalParty(hp.alice, {&hp.bob}, params),
+      SimulateHorizontalParty(hp.bob, {&hp.alice}, params)};
+  for (PlanMode plan : {PlanMode::kExact, PlanMode::kPrune}) {
+    for (HorizontalMode mode :
+         {HorizontalMode::kBasic, HorizontalMode::kEnhanced}) {
+      for (ComparatorKind cmp :
+           {ComparatorKind::kIdeal, ComparatorKind::kBlindedPaillier}) {
+        FastConfig config(kBulkEpsSquared, kBulkMinPts);
+        config.protocol.plan.mode = plan;
+        config.protocol.mode = mode;
+        config.protocol.comparator.kind = cmp;
+        config.protocol.comparator.blinding_bits = 40;
+        Result<std::vector<RunOutcome>> out =
+            RunHorizontal(hp.alice, hp.bob, config);
+        ASSERT_TRUE(out.ok()) << out.status();
+        for (size_t p = 0; p < 2; ++p) {
+          SCOPED_TRACE(std::string(PlanModeToString(plan)) + " mode " +
+                       std::to_string(static_cast<int>(mode)) + " cmp " +
+                       std::to_string(static_cast<int>(cmp)) + " party " +
+                       std::to_string(p));
+          EXPECT_EQ((*out)[p].clustering.labels, sim[p].labels);
+          EXPECT_EQ((*out)[p].clustering.is_core, sim[p].is_core);
+          EXPECT_EQ((*out)[p].clustering.num_clusters, sim[p].num_clusters);
+        }
+      }
+    }
+  }
+}
+
+TEST(HorizontalBulkScanTest, DisclosesOnePlaintextCountPerCandidate) {
+  HorizontalPartition hp = BulkFixture(32, 10);
+  const Dataset* own[2] = {&hp.alice, &hp.bob};
+  for (PlanMode plan : {PlanMode::kExact, PlanMode::kPrune}) {
+    FastConfig config(kBulkEpsSquared, kBulkMinPts);
+    config.protocol.plan.mode = plan;
+    Result<std::vector<RunOutcome>> out =
+        RunHorizontal(hp.alice, hp.bob, config);
+    ASSERT_TRUE(out.ok()) << out.status();
+    for (size_t p = 0; p < 2; ++p) {
+      const Dataset& mine = *own[p];
+      const Dataset& peer = *own[1 - p];
+      // Exact: every own point is a candidate. Prune: the own points
+      // within Eps of the peer's bounding box.
+      std::vector<size_t> candidates;
+      if (plan == PlanMode::kExact) {
+        for (size_t i = 0; i < mine.size(); ++i) candidates.push_back(i);
+      } else {
+        candidates = GridRegionQuerier(mine, kBulkEpsSquared)
+                         .PointsWithinEpsOfBox(ComputeBoundingBox(peer),
+                                               kBulkEpsSquared);
+        ASSERT_LT(candidates.size(), mine.size());
+      }
+      EXPECT_EQ(SortedValues((*out)[p].disclosures, "peer_neighbor_count"),
+                PeerCounts(mine, peer, candidates))
+          << PlanModeToString(plan) << " party " << p;
+      EXPECT_EQ((*out)[p].plan.encrypted_comparisons,
+                candidates.size() * (plan == PlanMode::kExact
+                                         ? peer.size()
+                                         : (*out)[1 - p].plan.candidate_points));
+    }
+  }
+}
+
+TEST(HorizontalBulkScanTest, BasicRoundsStayConstantAsPointsDouble) {
+  // Each scan is one membership round whose comparisons travel in
+  // comparator flights of max_batch_in_flight: with no cap the round count
+  // is a constant; under the default cap of 256 it grows only with the
+  // flight count, 2·⌈pairs/256⌉ per scan.
+  uint64_t unlimited[2] = {0, 0};
+  const size_t per_blob[2] = {12, 24};  // n = 40 and n = 80 points
+  for (size_t t = 0; t < 2; ++t) {
+    SecureRng rng(33);
+    RawDataset raw = MakeBlobs(rng, 3, per_blob[t], 2, 0.5, 6.0);
+    AddUniformNoise(raw, rng, 4 * (t + 1), 9.0);
+    FixedPointEncoder enc(4.0);
+    Dataset full = *enc.Encode(raw);
+    ASSERT_EQ(full.size(), 40u * (t + 1));
+    HorizontalPartition hp = *PartitionHorizontal(full, rng, 0.5);
+    const uint64_t pairs = hp.alice.size() * hp.bob.size();
+    for (size_t flight : {size_t{0}, size_t{256}}) {
+      FastConfig config(kBulkEpsSquared, kBulkMinPts);
+      config.protocol.comparator.kind = ComparatorKind::kBlindedPaillier;
+      config.protocol.comparator.blinding_bits = 40;
+      config.protocol.comparator.max_batch_in_flight = flight;
+      Result<std::vector<RunOutcome>> out =
+          RunHorizontal(hp.alice, hp.bob, config);
+      ASSERT_TRUE(out.ok()) << out.status();
+      const uint64_t rounds = (*out)[0].stats.rounds;
+      if (flight == 0) {
+        unlimited[t] = rounds;
+        EXPECT_LE(rounds, 12u) << "n=" << full.size();
+      } else {
+        EXPECT_LE(rounds, 8 + 4 * ((pairs + flight - 1) / flight))
+            << "n=" << full.size();
+      }
+    }
+  }
+  EXPECT_EQ(unlimited[1], unlimited[0]);
+}
+
+/// Runs the real horizontal scan (exact plan, basic mode) as `role` over
+/// `points` against `script`, which plays the other party on a raw
+/// MemoryChannel. The script's end is closed when it returns, so a decoder
+/// that wrongly accepts a frame fails on the closed channel instead of
+/// hanging.
+using PartyScript =
+    std::function<void(Channel&, const SmcSession&, SecureRng&)>;
+
+Status RunAgainstScript(PartyRole role, const Dataset& points,
+                        const PartyScript& script) {
+  FastConfig config(kBulkEpsSquared, 2);
+  auto [real_ch, script_ch] = MemoryChannel::CreatePair();
+  SecureRng real_rng(1), script_rng(2);
+  Result<SmcSession> real_session = Status::Internal("unset");
+  Result<SmcSession> script_session = Status::Internal("unset");
+  {
+    std::thread t([&] {
+      script_session =
+          SmcSession::Establish(*script_ch, script_rng, config.smc);
+    });
+    real_session = SmcSession::Establish(*real_ch, real_rng, config.smc);
+    t.join();
+  }
+  PPD_CHECK(real_session.ok() && script_session.ok());
+
+  std::thread scripted([&] {
+    script(*script_ch, *script_session, script_rng);
+    script_ch->Close();
+  });
+  Result<PartyClusteringResult> result = RunHorizontalDbscan(
+      *real_ch, *real_session, points, role, config.protocol, real_rng);
+  real_ch->Close();
+  scripted.join();
+  return result.status();
+}
+
+/// Scripted responder: accepts the driver's membership query, then answers
+/// with `ciphers` as its kMshCiphers frame. `ciphers` gets the script's own
+/// Paillier modulus n, so tests can plant a non-invertible cipher.
+PartyScript ResponderSending(
+    std::function<ByteWriter(const BigInt& n)> ciphers) {
+  return [ciphers](Channel& ch, const SmcSession& session, SecureRng&) {
+    if (!ExpectMessage(ch, wire::kHzQueryMembership).ok()) return;
+    if (!ExpectMessage(ch, kMshBegin).ok()) return;
+    (void)SendMessage(ch, kMshCiphers,
+                      ciphers(session.own_paillier_ctx().pub().n));
+  };
+}
+
+/// Scripted driver: asks for one 2-D query against the real responder's
+/// matrix, then sends `response(expected_ciphers)` as its kMshResponse.
+PartyScript DriverResponding(
+    std::function<std::vector<uint8_t>(size_t expected)> response) {
+  return [response](Channel& ch, const SmcSession&, SecureRng&) {
+    if (!SendMessage(ch, wire::kHzQueryMembership, std::vector<uint8_t>())
+             .ok()) {
+      return;
+    }
+    ByteWriter begin;
+    begin.PutU32(1);
+    begin.PutU32(2);
+    if (!SendMessage(ch, kMshBegin, begin).ok()) return;
+    Result<std::vector<uint8_t>> matrix = ExpectMessage(ch, kMshCiphers);
+    if (!matrix.ok()) return;
+    ByteReader reader(*matrix);
+    Result<uint32_t> count = reader.GetU32();
+    Result<uint32_t> dims = reader.GetU32();
+    if (!count.ok() || !dims.ok()) return;
+    (void)SendMessage(ch, kMshResponse,
+                      response(size_t{*count} * size_t{*dims}));
+  };
+}
+
+/// Writes `count` copies of the valid ciphertext 1 (E(0) with r = 1).
+std::vector<uint8_t> UnitCiphers(size_t count) {
+  ByteWriter out;
+  for (size_t i = 0; i < count; ++i) WriteBigInt(out, BigInt(1));
+  return out.data();
+}
+
+void ExpectDataLoss(const Status& status, const std::string& fragment) {
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_NE(status.message().find(fragment), std::string::npos) << status;
+}
+
+const Dataset& MixedSignPoints() {
+  static const Dataset points = MakePoints({{-3, 2}, {4, -5}, {1, 1}});
+  return points;
+}
+
+TEST(HorizontalBulkScanTest, EmptyMatrixWithTrailingBytesIsDataLoss) {
+  Status status = RunAgainstScript(
+      PartyRole::kAlice, MixedSignPoints(),
+      ResponderSending([](const BigInt&) {
+        ByteWriter out;
+        out.PutU32(0);
+        out.PutU32(2);
+        out.PutU8(0);
+        return out;
+      }));
+  ExpectDataLoss(status, "trailing membership cipher bytes");
+}
+
+TEST(HorizontalBulkScanTest, WrongDimsIsDataLoss) {
+  for (uint32_t count : {0u, 1u}) {
+    Status status = RunAgainstScript(
+        PartyRole::kAlice, MixedSignPoints(),
+        ResponderSending([count](const BigInt&) {
+          ByteWriter out;
+          out.PutU32(count);
+          out.PutU32(3);
+          for (uint32_t i = 0; i < 3 * count; ++i) {
+            WriteBigInt(out, BigInt(1));
+          }
+          return out;
+        }));
+    ExpectDataLoss(status, "dimension mismatch");
+  }
+}
+
+TEST(HorizontalBulkScanTest, NonInvertibleCipherIsDataLoss) {
+  // n is a multiple of both prime factors of n, so it has no inverse mod
+  // n². In a negative column the driver's inversion rejects it; in an
+  // all-positive column E(y)^k would reach 0, which is rejected too.
+  const Dataset positive = MakePoints({{3, 2}, {4, 5}});
+  for (const Dataset* points : {&MixedSignPoints(), &positive}) {
+    Status status = RunAgainstScript(
+        PartyRole::kAlice, *points, ResponderSending([](const BigInt& n) {
+          ByteWriter out;
+          out.PutU32(1);
+          out.PutU32(2);
+          WriteBigInt(out, n);
+          WriteBigInt(out, n);
+          return out;
+        }));
+    ExpectDataLoss(status, "membership cipher not invertible");
+  }
+}
+
+TEST(HorizontalBulkScanTest, TruncatedResponseIsDataLoss) {
+  // An empty frame fails the up-front size check; one cipher short fails
+  // while reading the last cipher.
+  ExpectDataLoss(RunAgainstScript(PartyRole::kBob, MixedSignPoints(),
+                                  DriverResponding([](size_t) {
+                                    return UnitCiphers(0);
+                                  })),
+                 "membership response truncated");
+  ExpectDataLoss(RunAgainstScript(PartyRole::kBob, MixedSignPoints(),
+                                  DriverResponding([](size_t expected) {
+                                    return UnitCiphers(expected - 1);
+                                  })),
+                 "membership response unreadable: truncated");
+}
+
+TEST(HorizontalBulkScanTest, OversizedResponseIsDataLoss) {
+  Status status = RunAgainstScript(
+      PartyRole::kBob, MixedSignPoints(),
+      DriverResponding([](size_t expected) {
+        return UnitCiphers(expected + 1);
+      }));
+  ExpectDataLoss(status, "trailing membership response bytes");
 }
 
 }  // namespace

@@ -151,6 +151,32 @@ TEST(LimbWidthTest, PaillierCiphertextGolden) {
   }
 }
 
+// Negate is a deterministic inverse mod n², so its bytes are pinned like
+// the ciphertexts above; raising the inverse to |k| must decrypt like
+// MulPlain(c, k) for k < 0 (the membership round's inverse path).
+TEST(LimbWidthTest, NegateGoldenAndInversePath) {
+  SecureRng krng(0x5eed0003);
+  Result<PaillierKeyPair> kp = GeneratePaillierKeyPair(krng, 128);
+  ASSERT_TRUE(kp.ok());
+  Result<PaillierDecryptor> dec = PaillierDecryptor::Create(*kp);
+  ASSERT_TRUE(dec.ok());
+  const PaillierContext& ctx = dec->context();
+
+  SecureRng erng(0x5eed0005);
+  Result<BigInt> c = ctx.EncryptSigned(BigInt(-5), erng);
+  ASSERT_TRUE(c.ok());
+  Result<BigInt> negated = ctx.Negate(*c);
+  ASSERT_TRUE(negated.ok());
+  EXPECT_EQ(negated->ToHex(),
+            "69d82d0d6c7a90cd904a65f27181ed8f5d0ecfa0f00dbb6316fa2cb562fad203");
+  for (int64_t k : {int64_t{-1}, int64_t{-2}, int64_t{-37},
+                    -(int64_t{1} << 40)}) {
+    EXPECT_EQ(*dec->Decrypt(ctx.MulPlain(*negated, BigInt(-k))),
+              *dec->Decrypt(ctx.MulPlain(*c, BigInt(k))))
+        << "k=" << k;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Carry/borrow edge cases at the limb boundaries. These are value-level
 // identities (independent of limb width) chosen to stress 2^31/2^32 and

@@ -79,6 +79,31 @@ TEST_F(PaillierTest, HomomorphicScalarMultiplication) {
   }
 }
 
+TEST_F(PaillierTest, NegateInversePathMatchesNegativeMulPlain) {
+  SecureRng rng(16);
+  const PaillierContext& ctx = dec_->context();
+  for (int64_t m : {0, 5, -123456789}) {
+    BigInt c = *ctx.EncryptSigned(BigInt(m), rng);
+    Result<BigInt> negated = ctx.Negate(c);
+    ASSERT_TRUE(negated.ok()) << negated.status();
+    EXPECT_EQ(*dec_->DecryptSigned(*negated), BigInt(-m));
+    for (int64_t k : {-1, -2, -37, -1000000}) {
+      EXPECT_EQ(*dec_->Decrypt(ctx.MulPlain(*negated, BigInt(-k))),
+                *dec_->Decrypt(ctx.MulPlain(c, BigInt(k))))
+          << "m=" << m << " k=" << k;
+    }
+  }
+}
+
+TEST_F(PaillierTest, NegateRejectsNonUnitsAndOutOfRange) {
+  const PaillierContext& ctx = dec_->context();
+  for (const BigInt& c :
+       {kp_->pub.n, kp_->p, kp_->q * BigInt(3), BigInt(), kp_->pub.n_squared}) {
+    EXPECT_EQ(ctx.Negate(c).status().code(), StatusCode::kInvalidArgument)
+        << c.ToHex();
+  }
+}
+
 TEST_F(PaillierTest, RerandomizePreservesPlaintextChangesCiphertext) {
   SecureRng rng(16);
   const PaillierContext& ctx = dec_->context();
