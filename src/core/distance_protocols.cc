@@ -1,28 +1,11 @@
 #include "core/distance_protocols.h"
 
 #include "bigint/codec.h"
-#include "common/thread_pool.h"
 #include "core/wire.h"
 #include "net/message.h"
+#include "smc/inner_product.h"
 
 namespace ppdbscan {
-
-namespace {
-
-/// Zero-sum masks over Z_n: m uniform values with Σr_j = 0 (mod n), the
-/// masking step of the paper's HDP.
-std::vector<BigInt> ZeroSumMasks(SecureRng& rng, size_t m, const BigInt& n) {
-  std::vector<BigInt> masks(m);
-  BigInt sum;
-  for (size_t j = 0; j + 1 < m; ++j) {
-    masks[j] = BigInt::RandomBelow(rng, n);
-    sum += masks[j];
-  }
-  masks[m - 1] = (-sum).Mod(n);
-  return masks;
-}
-
-}  // namespace
 
 std::vector<size_t> RandomPermutation(SecureRng& rng, size_t n) {
   std::vector<size_t> perm(n);
@@ -40,8 +23,6 @@ Result<size_t> HdpBatchDriver(Channel& channel, const SmcSession& session,
                               int64_t eps_squared, SecureRng& rng,
                               std::vector<bool>* bits) {
   const PaillierContext& peer = session.peer_paillier();
-  const BigInt& n = peer.pub().n;
-
   PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                        ExpectMessage(channel, wire::kHdpCiphers));
   ByteReader reader(payload);
@@ -52,15 +33,6 @@ Result<size_t> HdpBatchDriver(Channel& channel, const SmcSession& session,
                      Status::DataLoss("HDP dimension mismatch"),
                      "hdp dimension mismatch");
   }
-
-  // For every responder point k and coordinate j, complete the
-  // Multiplication Protocol as the Helper: E(y_kj)^{x_j} · E(r_kj), with
-  // masks summing to zero per point. The whole count × dims cipher matrix
-  // is collected first so the expensive transforms run as three batch
-  // passes (MulPlain, Encrypt, Add) fanned across the thread pool. The
-  // message layout and cipher semantics are unchanged; only the order the
-  // mask/randomizer values are drawn from rng differs from the old
-  // per-coordinate loop (all masks first, then all randomizers).
   const size_t total = size_t{count} * dims;
   // count comes off the wire: reject before reserving when the payload
   // cannot possibly hold that many ciphers (>= 5 bytes each serialized).
@@ -82,38 +54,30 @@ Result<size_t> HdpBatchDriver(Channel& channel, const SmcSession& session,
     return AbortPeer(channel, Status::DataLoss("trailing HDP bytes"),
                      "hdp trailing bytes");
   }
-  std::vector<BigInt> masks;
-  masks.reserve(ciphers.size());
-  for (uint32_t k = 0; k < count; ++k) {
-    std::vector<BigInt> point_masks = ZeroSumMasks(rng, dims, n);
-    for (uint32_t j = 0; j < dims; ++j) {
-      masks.push_back(std::move(point_masks[j]));
-    }
+  // Complete the Multiplication Protocol as the Helper, one folded cipher
+  // E(x·y_k) per responder point (smc/inner_product.h).
+  Result<InnerProductCiphers> matrix =
+      InnerProductCiphers::Create(peer, std::move(ciphers), count, dims);
+  if (!matrix.ok()) {
+    return AbortPeer(channel, Status::DataLoss("HDP cipher not invertible"),
+                     "hdp cipher not invertible");
   }
-  // The scalar pattern repeats every dims entries, so index into dims
-  // pre-built BigInts instead of materializing count × dims copies.
-  std::vector<BigInt> x_scalars(dims);
-  for (uint32_t j = 0; j < dims; ++j) x_scalars[j] = BigInt(x[j]);
-  std::vector<BigInt> products(total);
-  ParallelFor(total, [&](size_t i) {
-    products[i] = peer.MulPlain(ciphers[i], x_scalars[i % dims]);
-  });
-  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> mask_ciphers,
-                       peer.EncryptBatch(masks, rng));
-  std::vector<BigInt> blinded = peer.AddBatch(products, mask_ciphers);
+  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> products,
+                       matrix->Products({x}, 0, 1, rng));
   ByteWriter out;
-  for (const BigInt& c : blinded) WriteBigInt(out, c);
+  for (const BigInt& c : products) WriteBigInt(out, c);
   PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHdpResponse, out));
 
   // S_A = Σ x_j², then one comparison per responder point, batched so
   // backends with non-interactive rounds run their cryptography through
-  // the Paillier batch APIs.
+  // the Paillier batch APIs. All of them share S_A: one comparator group.
   BigInt s_a;
   for (int64_t c : x) s_a += BigInt(c) * BigInt(c);
   const BigInt threshold(eps_squared);
   std::vector<BigInt> xqs(count, s_a);
-  PPD_ASSIGN_OR_RETURN(std::vector<bool> cmp,
-                       comparator.QuerierCompareBatch(channel, xqs, threshold));
+  PPD_ASSIGN_OR_RETURN(
+      std::vector<bool> cmp,
+      comparator.QuerierCompareBatch(channel, xqs, threshold, count));
   size_t in_range = 0;
   if (bits != nullptr) bits->assign(count, false);
   for (uint32_t k = 0; k < count; ++k) {
@@ -173,8 +137,8 @@ Status HdpBatchResponder(Channel& channel, const SmcSession& session,
                        ExpectMessage(channel, wire::kHdpResponse));
   ByteReader reader(payload);
   std::vector<BigInt> response;
-  response.reserve(order.size() * dims);
-  for (size_t i = 0; i < order.size() * dims; ++i) {
+  response.reserve(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
     PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
     if (!ctx.IsValidCiphertext(cipher)) {
       return AbortPeer(channel,
@@ -187,20 +151,18 @@ Status HdpBatchResponder(Channel& channel, const SmcSession& session,
     return AbortPeer(channel, Status::DataLoss("trailing HDP response bytes"),
                      "hdp response trailing bytes");
   }
+  // u_k = x·y_k, the one value this party learns per point.
   PPD_ASSIGN_OR_RETURN(std::vector<BigInt> us,
                        session.own_paillier().DecryptBatch(response));
   std::vector<BigInt> s_b(order.size());
   for (size_t k = 0; k < order.size(); ++k) {
-    // u_kj = x_j·y_kj + r_kj; Σ_j u_kj = Σ_j x_j y_kj since Σ_j r_kj = 0.
-    BigInt sum_u;
-    for (size_t j = 0; j < dims; ++j) sum_u += us[k * dims + j];
     const std::vector<int64_t>& y = own.point(order[k]);
     BigInt sum_y2;
     for (int64_t c : y) sum_y2 += BigInt(c) * BigInt(c);
-    s_b[k] = ctx.DecodeSigned((sum_y2 - BigInt(2) * sum_u).Mod(n));
+    s_b[k] = ctx.DecodeSigned((sum_y2 - BigInt(2) * us[k]).Mod(n));
   }
 
-  return comparator.PeerAssistBatch(channel, s_b);
+  return comparator.PeerAssistBatch(channel, s_b, s_b.size());
 }
 
 namespace {
@@ -241,7 +203,6 @@ Result<bool> ArbitraryPairDriver(Channel& channel, const SmcSession& session,
                                  size_t yi, int64_t eps_squared,
                                  SecureRng& rng) {
   const PaillierContext& peer = session.peer_paillier();
-  const BigInt& n = peer.pub().n;
   PairSplit split = SplitPair(own, xi, yi);
 
   if (!split.cross.empty()) {
@@ -254,13 +215,9 @@ Result<bool> ArbitraryPairDriver(Channel& channel, const SmcSession& session,
                        Status::DataLoss("cross attribute count mismatch"),
                        "arbitrary cross count mismatch");
     }
-    // Same shape as HDP: collect the cross-attribute ciphers first, then
-    // run the three expensive passes (MulPlain, Encrypt, Add) as batches
-    // fanned across the thread pool. Message layout is unchanged; only the
-    // rng draw order differs from the per-attribute loop (all masks first,
-    // then all mask randomizers).
+    // Same shape as HDP: one folded cipher E(Σ_t a_t·b_t) for the pair.
     std::vector<BigInt> ciphers;
-    std::vector<BigInt> scalars;
+    std::vector<int64_t> scalars;
     ciphers.reserve(split.cross.size());
     scalars.reserve(split.cross.size());
     for (size_t c = 0; c < split.cross.size(); ++c) {
@@ -271,17 +228,24 @@ Result<bool> ArbitraryPairDriver(Channel& channel, const SmcSession& session,
       }
       ciphers.push_back(std::move(cipher));
       size_t t = split.cross[c];
-      int64_t a = own.owned[xi][t] != 0 ? own.values[xi][t]
-                                        : own.values[yi][t];
-      scalars.push_back(BigInt(a));
+      scalars.push_back(own.owned[xi][t] != 0 ? own.values[xi][t]
+                                              : own.values[yi][t]);
     }
-    std::vector<BigInt> masks = ZeroSumMasks(rng, split.cross.size(), n);
-    std::vector<BigInt> products = peer.MulPlainBatch(ciphers, scalars);
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> mask_ciphers,
-                         peer.EncryptBatch(masks, rng));
-    std::vector<BigInt> blinded = peer.AddBatch(products, mask_ciphers);
+    if (!reader.Done()) {
+      return AbortPeer(channel, Status::DataLoss("trailing cross bytes"),
+                       "arbitrary cross trailing bytes");
+    }
+    Result<InnerProductCiphers> matrix = InnerProductCiphers::Create(
+        peer, std::move(ciphers), 1, split.cross.size());
+    if (!matrix.ok()) {
+      return AbortPeer(channel,
+                       Status::DataLoss("cross cipher not invertible"),
+                       "arbitrary cross cipher not invertible");
+    }
+    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> product,
+                         matrix->Products({scalars}, 0, 1, rng));
     ByteWriter out;
-    for (const BigInt& c : blinded) WriteBigInt(out, c);
+    WriteBigInt(out, product[0]);
     PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kArbPairResponse, out));
   }
 
@@ -323,27 +287,20 @@ Status ArbitraryPairResponder(Channel& channel, const SmcSession& session,
     PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                          ExpectMessage(channel, wire::kArbPairResponse));
     ByteReader reader(payload);
-    std::vector<BigInt> response;
-    response.reserve(split.cross.size());
-    for (size_t c = 0; c < split.cross.size(); ++c) {
-      PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-      if (!ctx.IsValidCiphertext(cipher)) {
-        return AbortPeer(channel,
-                         Status::DataLoss("cross response cipher invalid"),
-                         "arbitrary cross response invalid");
-      }
-      response.push_back(std::move(cipher));
+    PPD_ASSIGN_OR_RETURN(BigInt response, ReadBigInt(reader));
+    if (!ctx.IsValidCiphertext(response)) {
+      return AbortPeer(channel,
+                       Status::DataLoss("cross response cipher invalid"),
+                       "arbitrary cross response invalid");
     }
     if (!reader.Done()) {
       return AbortPeer(channel, Status::DataLoss("trailing pair bytes"),
                        "arbitrary pair trailing bytes");
     }
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> us,
-                         session.own_paillier().DecryptBatch(response));
-    BigInt sum_u;
-    for (const BigInt& u : us) sum_u += u;
+    // u = Σ_t a_t·b_t over the cross attributes, one value per pair.
+    PPD_ASSIGN_OR_RETURN(BigInt u, session.own_paillier().Decrypt(response));
     cross_part = ctx.DecodeSigned(
-        (BigInt(split.cross_squares) - BigInt(2) * sum_u).Mod(n));
+        (BigInt(split.cross_squares) - BigInt(2) * u).Mod(n));
   }
 
   BigInt s_bob = BigInt(split.local_part) + cross_part;

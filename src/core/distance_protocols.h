@@ -15,12 +15,13 @@
 namespace ppdbscan {
 
 /// HDP (§4.2), batched over all of the responder's points for one query
-/// point. Protocol content is exactly the paper's: per coordinate, one
-/// Multiplication Protocol run with zero-sum masks (the responder plays the
-/// Paillier "Alice" of Algorithm 2 and ends with x_j·y_j + r_j), followed
-/// by one secure comparison per point. Framing batches the m coordinates
-/// and the responder's points into single messages, which changes neither
-/// the ciphertext count nor who-learns-what.
+/// point. The responder sends E(y_kj) for every point k and coordinate j;
+/// the driver plays the Helper of the Multiplication Protocol and returns
+/// one rerandomized cipher E(x·y_k) per point (smc/inner_product.h), which
+/// the responder decrypts; then one secure comparison per point. The
+/// paper's zero-sum masks split x·y_k into per-coordinate shares that were
+/// uniform given the sum, so folding them into the sum changes neither
+/// party's view; it halves the Paillier work per pair.
 ///
 /// The responder fresh-encrypts its coordinates for every query and (by
 /// default) presents its points in a fresh random order — the permutation
@@ -39,7 +40,10 @@ Result<size_t> HdpBatchDriver(Channel& channel, const SmcSession& session,
 
 /// Responder side. `subset` restricts participation to the given point
 /// indices (default: all points); `permute` controls the Algorithm 4
-/// shuffle. Learns nothing about the driver's query point.
+/// shuffle. Learns x·y_k for each of its points y_k, as in the paper's HDP,
+/// but not the comparison bits. With `dims` linearly independent points it
+/// can therefore solve for the query point x; hiding x·y_k is an open
+/// ROADMAP item.
 Status HdpBatchResponder(Channel& channel, const SmcSession& session,
                          SecureComparator& comparator, const Dataset& own,
                          SecureRng& rng,
@@ -48,9 +52,10 @@ Status HdpBatchResponder(Channel& channel, const SmcSession& session,
 
 /// §4.4 arbitrary-partition pair distance: decomposes (x, y) into
 /// same-owner attributes (local squared differences) and cross-owner
-/// attributes (per-attribute Multiplication Protocol with zero-sum masks,
-/// exactly HDP), then one secure comparison against eps². The driver is
-/// the Alice-side party and learns the bit.
+/// attributes (the Multiplication Protocol folded into one inner-product
+/// cipher, exactly as in HDP: the responder learns Σ a_t·b_t over the
+/// cross attributes), then one secure comparison against eps². The driver
+/// is the Alice-side party and learns the bit.
 Result<bool> ArbitraryPairDriver(Channel& channel, const SmcSession& session,
                                  SecureComparator& comparator,
                                  const ArbitraryPartyView& own, size_t xi,

@@ -17,12 +17,16 @@
 
 namespace ppdbscan {
 
-/// Version of the job negotiation round (the kJobHello wire message every
-/// PartyRuntime::Run opens with). Bump whenever the hello layout or the
-/// canonical ProtocolOptions serialization behind ProtocolOptionsDigest
+/// Version of the job protocol, sent first in the kJobHello wire message
+/// every PartyRuntime::Run opens with. Bump whenever the hello layout, the
+/// canonical ProtocolOptions serialization behind ProtocolOptionsDigest, or
+/// the layout, count or order of the frames of any protocol a job runs
+/// (plan, HDP, membership, comparator, vertical, arbitrary, merge)
 /// changes; peers with different versions fail the handshake with
 /// kFailedPrecondition instead of misreading each other's frames.
-inline constexpr uint16_t kJobProtocolVersion = 4;
+/// Version 5: one inner-product cipher per HDP/membership/arbitrary pair
+/// and one blinded query cipher per comparator group.
+inline constexpr uint16_t kJobProtocolVersion = 5;
 
 /// How the virtual database is split between the parties — the four
 /// variants of the paper presented as one protocol family (§4.2 horizontal,

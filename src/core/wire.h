@@ -15,7 +15,7 @@ inline constexpr uint16_t kHzQueryBasic = 0x1001;     // driver asks for an HDP 
 inline constexpr uint16_t kHzQueryEnhanced = 0x1002;  // driver asks for a §5 core test
 inline constexpr uint16_t kHzScanDone = 0x1003;       // driver finished its scan
 inline constexpr uint16_t kHdpCiphers = 0x1004;       // responder's E(y) batch
-inline constexpr uint16_t kHdpResponse = 0x1005;      // driver's masked products
+inline constexpr uint16_t kHdpResponse = 0x1005;      // driver's E(x·y_k) per point
 
 // §5 selection sub-protocol (driver -> responder requests).
 inline constexpr uint16_t kSelCompare = 0x1010;  // payload: u32 i, u32 j

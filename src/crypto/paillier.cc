@@ -256,6 +256,29 @@ Result<BigInt> PaillierContext::Negate(const BigInt& c) const {
   return BigInt::ModInverse(c, pub_.n_squared);
 }
 
+Result<std::vector<BigInt>> PaillierContext::NegateBatch(
+    const std::vector<BigInt>& cs) const {
+  // prefix[i] = c_0 ⋯ c_i; the product is a unit iff every factor is.
+  std::vector<BigInt> prefix(cs.size());
+  BigInt product(1);
+  for (size_t i = 0; i < cs.size(); ++i) {
+    if (!IsValidCiphertext(cs[i])) {
+      return Status::InvalidArgument("invalid ciphertext");
+    }
+    product = (product * cs[i]).Mod(pub_.n_squared);
+    prefix[i] = product;
+  }
+  PPD_ASSIGN_OR_RETURN(BigInt inverse,
+                       BigInt::ModInverse(product, pub_.n_squared));
+  // Walking back, `inverse` is (c_0 ⋯ c_i)⁻¹, so c_i⁻¹ = inverse · prefix[i−1].
+  std::vector<BigInt> out(cs.size());
+  for (size_t i = cs.size(); i-- > 0;) {
+    out[i] = i == 0 ? inverse : (inverse * prefix[i - 1]).Mod(pub_.n_squared);
+    inverse = (inverse * cs[i]).Mod(pub_.n_squared);
+  }
+  return out;
+}
+
 Result<BigInt> PaillierContext::Rerandomize(const BigInt& c,
                                             SecureRng& rng) const {
   if (!IsValidCiphertext(c)) {
@@ -263,6 +286,24 @@ Result<BigInt> PaillierContext::Rerandomize(const BigInt& c,
   }
   PPD_ASSIGN_OR_RETURN(BigInt zero_enc, Encrypt(BigInt(), rng));
   return (c * zero_enc).Mod(pub_.n_squared);
+}
+
+Result<std::vector<BigInt>> PaillierContext::RerandomizeBatch(
+    const std::vector<BigInt>& cs, SecureRng& rng, ThreadPool* pool) const {
+  for (const BigInt& c : cs) {
+    if (!IsValidCiphertext(c)) {
+      return Status::InvalidArgument("invalid ciphertext");
+    }
+  }
+  std::vector<BigInt> rs(cs.size());
+  for (size_t i = 0; i < cs.size(); ++i) rs[i] = SampleRandomizer(rng);
+  const std::vector<BigInt> factors = RandomizerFactorBatch(rs, pool);
+  std::vector<BigInt> out(cs.size());
+  ParallelFor(
+      cs.size(),
+      [&](size_t i) { out[i] = (cs[i] * factors[i]).Mod(pub_.n_squared); },
+      pool);
+  return out;
 }
 
 Result<BigInt> PaillierContext::EncodeSigned(const BigInt& v) const {

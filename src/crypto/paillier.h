@@ -83,6 +83,12 @@ class PaillierContext {
   /// equal but are not byte-equal. Fails with kInvalidArgument when c is
   /// out of range or not a unit mod n² — never for an honest ciphertext.
   Result<BigInt> Negate(const BigInt& c) const;
+  /// Element-wise Negate by Montgomery's batch inversion: one modular
+  /// inverse of the product of all ciphers, then three multiplications per
+  /// element. Bit-identical to calling Negate per element. Fails as a whole
+  /// (kInvalidArgument) when any cipher is out of range or not a unit mod
+  /// n², so it doubles as the unit check for ciphers a peer sent.
+  Result<std::vector<BigInt>> NegateBatch(const std::vector<BigInt>& cs) const;
 
   // --- Offline/online encryption split -------------------------------------
   // Encrypt(m) factors as g^m · (r^n mod n²); the second term is independent
@@ -143,6 +149,13 @@ class PaillierContext {
 
   /// Fresh re-randomization: multiplies by an encryption of zero.
   Result<BigInt> Rerandomize(const BigInt& c, SecureRng& rng) const;
+  /// Element-wise Rerandomize. As with EncryptBatch, every randomizer is
+  /// drawn from `rng` serially in element order before the r^n factors fan
+  /// out, so the outputs equal a serial Rerandomize loop for a fixed rng
+  /// stream. Fails (consuming no randomness) if any cipher is out of range.
+  Result<std::vector<BigInt>> RerandomizeBatch(
+      const std::vector<BigInt>& cs, SecureRng& rng,
+      ThreadPool* pool = nullptr) const;
 
   /// Signed wraparound encoding into [0, n); fails unless |v| < n/2.
   Result<BigInt> EncodeSigned(const BigInt& v) const;

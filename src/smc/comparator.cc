@@ -1,6 +1,9 @@
 #include "smc/comparator.h"
 
+#include <algorithm>
+
 #include "bigint/codec.h"
+#include "common/thread_pool.h"
 #include "net/message.h"
 #include "smc/ymp.h"
 
@@ -10,8 +13,6 @@ namespace {
 
 constexpr uint16_t kIdealQuery = 0x0401;   // Querier -> Peer: x_q, T
 constexpr uint16_t kIdealAnswer = 0x0402;  // Peer -> Querier: bit
-constexpr uint16_t kBlindQuery = 0x0403;   // Querier -> Peer: E(x_q - T - 1)
-constexpr uint16_t kBlindAnswer = 0x0404;  // Peer -> Querier: E(ρδ' + σ)
 
 /// Algorithm 1 backend. The Querier plays the Evaluator (j holder, learns
 /// the bit); the Peer plays the KeyOwner (i holder, decrypts); reporting is
@@ -72,8 +73,9 @@ class YmppComparator : public SecureComparator {
 
 /// Paillier multiplicative-blinding backend. The Querier sends
 /// E(x_q − T − 1) under its own key; the Peer returns
-/// E(ρ·(x_q − T − 1 + x_p) + σ) with ρ uniform in [2^(b−1), 2^b) and σ
-/// uniform in [0, ρ). The decrypted value w is negative iff
+/// E(x_q − T − 1)^ρ · E(ρ·x_p + σ) = E(ρ·(x_q − T − 1 + x_p) + σ) with ρ
+/// uniform in [2^(b−1), 2^b) and σ uniform in [0, ρ). The fresh encryption
+/// rerandomizes the answer uniformly. The decrypted value w is negative iff
 /// x_q + x_p <= T. Exact result; leaks ~log|δ| to the Querier (quantified
 /// in bench_enhanced_vs_basic's leakage table).
 ///
@@ -83,6 +85,11 @@ class YmppComparator : public SecureComparator {
 /// difference is small. Correctness therefore rests on the caller's
 /// guarantee that |x_q + x_p − T| <= magnitude_bound, which Validate()
 /// checks against the blinding headroom at construction time.
+///
+/// A single comparison is a batch of one. In a batch, one query cipher
+/// serves each group of comparisons that share the querier's value
+/// (SecureComparator::Grouping); every comparison still gets its own ρ, σ
+/// and answer.
 class BlindedPaillierComparator : public SecureComparator {
  public:
   BlindedPaillierComparator(const SmcSession& session,
@@ -114,69 +121,29 @@ class BlindedPaillierComparator : public SecureComparator {
  protected:
   Result<bool> QuerierCompareImpl(Channel& channel, const BigInt& x_q,
                                   const BigInt& threshold) override {
-    const PaillierContext& ctx = session_.own_paillier_ctx();
-    PPD_ASSIGN_OR_RETURN(
-        BigInt cipher,
-        ctx.Encrypt((x_q - threshold - BigInt(1)).Mod(ctx.pub().n), rng_));
-    ByteWriter out;
-    WriteBigInt(out, cipher);
-    PPD_RETURN_IF_ERROR(SendMessage(channel, kBlindQuery, out));
-
-    PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                         ExpectMessage(channel, kBlindAnswer));
-    ByteReader reader(payload);
-    PPD_ASSIGN_OR_RETURN(BigInt answer, ReadBigInt(reader));
-    if (!ctx.IsValidCiphertext(answer)) {
-      return Status::DataLoss("blinded answer out of range");
-    }
-    PPD_ASSIGN_OR_RETURN(BigInt w, session_.own_paillier().DecryptSigned(answer));
-    return w.IsNegative();
+    PPD_ASSIGN_OR_RETURN(std::vector<bool> bits,
+                         QuerierCompareBatchImpl(channel, {x_q}, threshold,
+                                                 Grouping{}));
+    return static_cast<bool>(bits[0]);
   }
 
   Status PeerAssistImpl(Channel& channel, const BigInt& x_p) override {
-    const PaillierContext& peer = session_.peer_paillier();
-    PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                         ExpectMessage(channel, kBlindQuery));
-    ByteReader reader(payload);
-    PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-    if (!peer.IsValidCiphertext(cipher)) {
-      return Status::DataLoss("blinded query out of range");
-    }
-    // E(δ') = E(x_q − T − 1) ⊕ E(x_p); answer = E(ρδ' + σ).
-    PPD_ASSIGN_OR_RETURN(BigInt xp_cipher,
-                         peer.Encrypt(x_p.Mod(peer.pub().n), rng_));
-    BigInt delta_cipher = peer.Add(cipher, xp_cipher);
-    BigInt rho = BigInt::RandomBits(rng_, blinding_bits_ - 1) +
-                 (BigInt(1) << (blinding_bits_ - 1));
-    BigInt sigma = BigInt::RandomBelow(rng_, rho);
-    BigInt blinded = peer.MulPlain(delta_cipher, rho);
-    PPD_ASSIGN_OR_RETURN(BigInt sigma_cipher, peer.Encrypt(sigma, rng_));
-    blinded = peer.Add(blinded, sigma_cipher);
-
-    ByteWriter out;
-    WriteBigInt(out, blinded);
-    return SendMessage(channel, kBlindAnswer, out);
+    return PeerAssistBatchImpl(channel, {x_p}, Grouping{});
   }
 
-  // Batched rounds: one non-interactive query/answer exchange per element,
-  // with the cryptography running through the Paillier batch APIs (and the
-  // session randomizer pool on the querier side when present). Message
-  // framing per comparison is identical to the serial path; only message
-  // *order* changes (all queries, then all answers).
+  // One non-interactive exchange per flight: the query ciphers, then the
+  // answers, with the cryptography running through the Paillier batch APIs
+  // (and the session randomizer pool on the querier side when present).
   Result<std::vector<bool>> QuerierCompareBatchImpl(
       Channel& channel, const std::vector<BigInt>& xqs,
-      const BigInt& threshold) override {
+      const BigInt& threshold, const Grouping& grouping) override {
     if (xqs.empty()) return std::vector<bool>();
     const PaillierContext& ctx = session_.own_paillier_ctx();
-    std::vector<BigInt> ms(xqs.size());
+    std::vector<BigInt> ms;
     for (size_t i = 0; i < xqs.size(); ++i) {
-      // The HDP shape repeats one S_A across the whole batch; reuse the
-      // reduced plaintext instead of redoing the wide subtraction mod n.
-      if (i > 0 && xqs[i] == xqs[i - 1]) {
-        ms[i] = ms[i - 1];
-        continue;
+      if (grouping.StartsGroup(i)) {
+        ms.push_back((xqs[i] - threshold - BigInt(1)).Mod(ctx.pub().n));
       }
-      ms[i] = (xqs[i] - threshold - BigInt(1)).Mod(ctx.pub().n);
     }
     std::vector<BigInt> ciphers;
     if (PaillierRandomizerPool* rpool = session_.own_randomizer_pool()) {
@@ -208,41 +175,55 @@ class BlindedPaillierComparator : public SecureComparator {
     return bits;
   }
 
-  Status PeerAssistBatchImpl(Channel& channel,
-                             const std::vector<BigInt>& xps) override {
+  Status PeerAssistBatchImpl(Channel& channel, const std::vector<BigInt>& xps,
+                             const Grouping& grouping) override {
     if (xps.empty()) return Status::Ok();
     const PaillierContext& peer = session_.peer_paillier();
+    // query[i]: index of the query cipher that serves comparison i. A
+    // flight that starts mid-group reuses the previous flight's cipher.
+    std::vector<size_t> query(xps.size());
     std::vector<BigInt> queries;
-    queries.reserve(xps.size());
+    if (!grouping.StartsGroup(0)) queries.push_back(group_query_);
     for (size_t i = 0; i < xps.size(); ++i) {
-      PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                           ExpectMessage(channel, kBlindQuery));
-      ByteReader reader(payload);
-      PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-      if (!peer.IsValidCiphertext(cipher)) {
-        return Status::DataLoss("blinded query out of range");
+      if (grouping.StartsGroup(i)) {
+        PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                             ExpectMessage(channel, kBlindQuery));
+        ByteReader reader(payload);
+        PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
+        if (!peer.IsValidCiphertext(cipher)) {
+          return Status::DataLoss("blinded query out of range");
+        }
+        queries.push_back(std::move(cipher));
       }
-      queries.push_back(std::move(cipher));
+      query[i] = queries.size() - 1;
     }
-    // Blinding values are drawn serially per element before the batch
-    // passes, matching the serial path's per-element semantics.
-    std::vector<BigInt> xp_ms(xps.size());
+    group_query_ = queries.back();
+    // ρ and σ are drawn serially per element before the batch passes.
     std::vector<BigInt> rhos(xps.size());
-    std::vector<BigInt> sigmas(xps.size());
+    std::vector<BigInt> offsets(xps.size());
     for (size_t i = 0; i < xps.size(); ++i) {
-      xp_ms[i] = xps[i].Mod(peer.pub().n);
       rhos[i] = BigInt::RandomBits(rng_, blinding_bits_ - 1) +
                 (BigInt(1) << (blinding_bits_ - 1));
-      sigmas[i] = BigInt::RandomBelow(rng_, rhos[i]);
+      BigInt sigma = BigInt::RandomBelow(rng_, rhos[i]);
+      offsets[i] = (rhos[i] * xps[i] + sigma).Mod(peer.pub().n);
     }
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> xp_ciphers,
-                         peer.EncryptBatch(xp_ms, rng_));
-    std::vector<BigInt> deltas = peer.AddBatch(queries, xp_ciphers);
-    std::vector<BigInt> blinded = peer.MulPlainBatch(deltas, rhos);
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> sigma_ciphers,
-                         peer.EncryptBatch(sigmas, rng_));
-    blinded = peer.AddBatch(blinded, sigma_ciphers);
-    for (const BigInt& answer : blinded) {
+    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> fresh,
+                         peer.EncryptBatch(offsets, rng_));
+    std::vector<BigInt> answers(xps.size());
+    std::vector<uint8_t> zero(xps.size(), 0);
+    ParallelFor(xps.size(), [&](size_t i) {
+      BigInt scaled = peer.MulPlain(queries[query[i]], rhos[i]);
+      // A query that is not a unit mod n² can power to 0.
+      if (!peer.IsValidCiphertext(scaled)) {
+        zero[i] = 1;
+        return;
+      }
+      answers[i] = peer.Add(scaled, fresh[i]);
+    });
+    if (std::find(zero.begin(), zero.end(), 1) != zero.end()) {
+      return Status::DataLoss("blinded query not invertible");
+    }
+    for (const BigInt& answer : answers) {
       ByteWriter out;
       WriteBigInt(out, answer);
       PPD_RETURN_IF_ERROR(SendMessage(channel, kBlindAnswer, out));
@@ -255,6 +236,7 @@ class BlindedPaillierComparator : public SecureComparator {
   SecureRng& rng_;
   BigInt bound_;
   size_t blinding_bits_;
+  BigInt group_query_;  // peer: the query cipher of the group in progress
 };
 
 /// Trusted-third-party reference functionality (§3.3 of the paper): the
@@ -286,7 +268,7 @@ class IdealComparator : public SecureComparator {
   // format of the serial path.
   Result<std::vector<bool>> QuerierCompareBatchImpl(
       Channel& channel, const std::vector<BigInt>& xqs,
-      const BigInt& threshold) override {
+      const BigInt& threshold, const Grouping& /*grouping*/) override {
     for (const BigInt& x_q : xqs) {
       PPD_RETURN_IF_ERROR(SendQuery(channel, x_q, threshold));
     }
@@ -298,8 +280,8 @@ class IdealComparator : public SecureComparator {
     return bits;
   }
 
-  Status PeerAssistBatchImpl(Channel& channel,
-                             const std::vector<BigInt>& xps) override {
+  Status PeerAssistBatchImpl(Channel& channel, const std::vector<BigInt>& xps,
+                             const Grouping& /*grouping*/) override {
     std::vector<BigInt> slacks;
     slacks.reserve(xps.size());
     for (size_t i = 0; i < xps.size(); ++i) {

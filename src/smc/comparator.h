@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,49 +58,69 @@ class SecureComparator {
   /// all queries, then all answers (blinded Paillier also runs the
   /// cryptography through the Paillier batch APIs; ideal just regroups
   /// the messages). Both parties must use the batched entry points
-  /// together, with equal counts.
+  /// together, with equal counts and groups.
+  ///
+  /// `group` is public: each run of `group` consecutive comparisons (the
+  /// last run may be shorter) shares one querier value, which xqs must
+  /// repeat. HDP passes the responder's point count, membership the count
+  /// per query, vertical 1. The blinded backend then sends one query
+  /// cipher per group; the ideal and YMPP backends keep one query per
+  /// comparison. Grouping must come from the public shape of the batch,
+  /// never from comparing values: equal vertical partials would otherwise
+  /// show in the message count.
   ///
   /// Batches larger than max_batch_in_flight are split into chunks so the
   /// all-queries-then-all-answers rounds of non-interactive backends cannot
   /// fill both TCP buffers on the socket path (the querier drains each
   /// chunk's answers before sending the next chunk's queries). Both parties
   /// split identically — the limit is part of the negotiated
-  /// ComparatorOptions. Batches at or below the limit are byte-identical
-  /// to the unchunked rounds; above it the per-message wire format and the
-  /// results are unchanged, but the peer's blinding randomness is grouped
-  /// per flight, so those transcript bytes can differ from an unchunked
-  /// run of the same seed.
+  /// ComparatorOptions. A group's query travels with the chunk its first
+  /// comparison falls in, so chunking never adds a message. Batches at or
+  /// below the limit are byte-identical to the unchunked rounds; above it
+  /// the results are unchanged, but the peer's blinding randomness is
+  /// grouped per flight, so those transcript bytes can differ from an
+  /// unchunked run of the same seed.
   Result<std::vector<bool>> QuerierCompareBatch(Channel& channel,
                                                 const std::vector<BigInt>& xqs,
-                                                const BigInt& threshold) {
+                                                const BigInt& threshold,
+                                                size_t group = 1) {
     invocations_ += xqs.size();
-    const size_t chunk = ChunkSize(xqs.size());
-    if (xqs.size() <= chunk) {
-      return QuerierCompareBatchImpl(channel, xqs, threshold);
+    group = std::max<size_t>(group, 1);
+    for (size_t i = 1; i < xqs.size(); ++i) {
+      if (i % group != 0 && xqs[i] != xqs[i - 1]) {
+        return Status::InvalidArgument(
+            "grouped comparisons must share one querier value");
+      }
     }
     std::vector<bool> bits;
     bits.reserve(xqs.size());
+    const size_t chunk = ChunkSize(xqs.size());
     for (size_t base = 0; base < xqs.size(); base += chunk) {
       const size_t len = std::min(chunk, xqs.size() - base);
       std::vector<BigInt> part(xqs.begin() + static_cast<ptrdiff_t>(base),
                                xqs.begin() + static_cast<ptrdiff_t>(base + len));
-      PPD_ASSIGN_OR_RETURN(std::vector<bool> part_bits,
-                           QuerierCompareBatchImpl(channel, part, threshold));
+      PPD_ASSIGN_OR_RETURN(
+          std::vector<bool> part_bits,
+          QuerierCompareBatchImpl(channel, part, threshold,
+                                  Grouping{base, group}));
       bits.insert(bits.end(), part_bits.begin(), part_bits.end());
     }
     return bits;
   }
 
-  /// Batched peer role, pairing with QuerierCompareBatch (same chunking).
-  Status PeerAssistBatch(Channel& channel, const std::vector<BigInt>& xps) {
+  /// Batched peer role, pairing with QuerierCompareBatch (same chunking and
+  /// the same public `group`).
+  Status PeerAssistBatch(Channel& channel, const std::vector<BigInt>& xps,
+                         size_t group = 1) {
     invocations_ += xps.size();
+    group = std::max<size_t>(group, 1);
     const size_t chunk = ChunkSize(xps.size());
-    if (xps.size() <= chunk) return PeerAssistBatchImpl(channel, xps);
     for (size_t base = 0; base < xps.size(); base += chunk) {
       const size_t len = std::min(chunk, xps.size() - base);
       std::vector<BigInt> part(xps.begin() + static_cast<ptrdiff_t>(base),
                                xps.begin() + static_cast<ptrdiff_t>(base + len));
-      PPD_RETURN_IF_ERROR(PeerAssistBatchImpl(channel, part));
+      PPD_RETURN_IF_ERROR(
+          PeerAssistBatchImpl(channel, part, Grouping{base, group}));
     }
     return Status::Ok();
   }
@@ -122,12 +143,22 @@ class SecureComparator {
                                           const BigInt& threshold) = 0;
   virtual Status PeerAssistImpl(Channel& channel, const BigInt& x_p) = 0;
 
+  /// Where a flight sits in its batch: flight element i is the first
+  /// comparison of a group iff its batch index offset + i is a multiple of
+  /// `group`. Both parties derive this from public numbers. A flight whose
+  /// element 0 starts no group continues the previous flight's group.
+  struct Grouping {
+    size_t offset = 0;
+    size_t group = 1;
+    bool StartsGroup(size_t i) const { return (offset + i) % group == 0; }
+  };
+
   // Default batched rounds: the serial loop. Interactive backends (YMPP)
   // inherit these; both sides then interleave exactly as the unbatched
   // calls would.
   virtual Result<std::vector<bool>> QuerierCompareBatchImpl(
       Channel& channel, const std::vector<BigInt>& xqs,
-      const BigInt& threshold) {
+      const BigInt& threshold, const Grouping& /*grouping*/) {
     std::vector<bool> bits(xqs.size());
     for (size_t i = 0; i < xqs.size(); ++i) {
       PPD_ASSIGN_OR_RETURN(bool bit,
@@ -137,7 +168,8 @@ class SecureComparator {
     return bits;
   }
   virtual Status PeerAssistBatchImpl(Channel& channel,
-                                     const std::vector<BigInt>& xps) {
+                                     const std::vector<BigInt>& xps,
+                                     const Grouping& /*grouping*/) {
     for (const BigInt& x_p : xps) {
       PPD_RETURN_IF_ERROR(PeerAssistImpl(channel, x_p));
     }
@@ -152,6 +184,10 @@ class SecureComparator {
   uint64_t invocations_ = 0;
   size_t max_batch_in_flight_ = 0;
 };
+
+/// Wire tags of the blinded backend.
+inline constexpr uint16_t kBlindQuery = 0x0403;   // Querier -> Peer: E(x_q − T − 1)
+inline constexpr uint16_t kBlindAnswer = 0x0404;  // Peer -> Querier: E(ρδ' + σ)
 
 enum class ComparatorKind {
   kYmpp,

@@ -3,32 +3,19 @@
 #include <algorithm>
 
 #include "bigint/codec.h"
-#include "common/thread_pool.h"
 #include "net/message.h"
+#include "smc/inner_product.h"
 
 namespace ppdbscan {
 
 namespace {
 
-/// Zero-sum masks over Z_n (the HDP masking step): m uniform values with
-/// Σr_j = 0 (mod n).
-std::vector<BigInt> ZeroSumMasks(SecureRng& rng, size_t m, const BigInt& n) {
-  std::vector<BigInt> masks(m);
-  BigInt sum;
-  for (size_t j = 0; j + 1 < m; ++j) {
-    masks[j] = BigInt::RandomBelow(rng, n);
-    sum += masks[j];
-  }
-  masks[m - 1] = (-sum).Mod(n);
-  return masks;
-}
-
 /// Number of queries per flight so one kMshResponse frame carries at most
 /// kMshMaxCiphersPerFlight ciphers. Both sides derive this from the public
 /// sizes, so the flight schedule never desyncs.
-size_t QueriesPerFlight(size_t count, size_t dims) {
-  const size_t per_query = std::max<size_t>(1, count * dims);
-  return std::max<size_t>(1, kMshMaxCiphersPerFlight / per_query);
+size_t QueriesPerFlight(size_t count) {
+  return std::max<size_t>(
+      1, kMshMaxCiphersPerFlight / std::max<size_t>(1, count));
 }
 
 }  // namespace
@@ -54,8 +41,6 @@ Result<std::vector<size_t>> MembershipBatchDriver(
   if (q_count == 0) return counts;
 
   const PaillierContext& peer = session.peer_paillier();
-  const BigInt& n = peer.pub().n;
-
   PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                        ExpectMessage(channel, kMshCiphers));
   ByteReader reader(payload);
@@ -66,15 +51,15 @@ Result<std::vector<size_t>> MembershipBatchDriver(
                      Status::DataLoss("membership dimension mismatch"),
                      "membership dimension mismatch");
   }
-  const size_t per_query = size_t{count} * dims;
-  if (per_query > reader.remaining() / 5) {
+  const size_t cells = size_t{count} * dims;
+  if (cells > reader.remaining() / 5) {
     return AbortPeer(channel,
                      Status::DataLoss("membership cipher payload truncated"),
                      "membership payload truncated");
   }
   std::vector<BigInt> ciphers;
-  ciphers.reserve(per_query);
-  for (size_t i = 0; i < per_query; ++i) {
+  ciphers.reserve(cells);
+  for (size_t i = 0; i < cells; ++i) {
     PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
     if (!peer.IsValidCiphertext(cipher)) {
       return AbortPeer(channel, Status::DataLoss("membership cipher invalid"),
@@ -88,29 +73,9 @@ Result<std::vector<size_t>> MembershipBatchDriver(
                      "membership trailing bytes");
   }
   if (count == 0) return counts;  // nothing to compare against
-
-  // E(y)^k for k < 0 would exponentiate by the full-width k mod n once per
-  // query. Instead invert each cipher once, only in the columns where some
-  // query is negative, and raise E(y)⁻¹ = E(−y) to |k|.
-  std::vector<bool> negative_column(dims, false);
-  for (const std::vector<int64_t>& q : queries) {
-    for (size_t j = 0; j < dims; ++j) {
-      if (q[j] < 0) negative_column[j] = true;
-    }
-  }
-  std::vector<BigInt> negated(per_query);
-  std::vector<uint8_t> not_invertible(per_query, 0);
-  ParallelFor(per_query, [&](size_t i) {
-    if (!negative_column[i % dims]) return;
-    Result<BigInt> inverse = peer.Negate(ciphers[i]);
-    if (inverse.ok()) {
-      negated[i] = std::move(inverse).value();
-    } else {
-      not_invertible[i] = 1;
-    }
-  });
-  if (std::find(not_invertible.begin(), not_invertible.end(), 1) !=
-      not_invertible.end()) {
+  Result<InnerProductCiphers> matrix =
+      InnerProductCiphers::Create(peer, std::move(ciphers), count, dims);
+  if (!matrix.ok()) {
     return AbortPeer(channel,
                      Status::DataLoss("membership cipher not invertible"),
                      "membership cipher not invertible");
@@ -123,52 +88,13 @@ Result<std::vector<size_t>> MembershipBatchDriver(
   }
 
   const BigInt threshold(eps_squared);
-  const size_t flight = QueriesPerFlight(count, dims);
+  const size_t flight = QueriesPerFlight(count);
   for (size_t q0 = 0; q0 < q_count; q0 += flight) {
     const size_t qn = std::min(flight, q_count - q0);
-    const size_t total = qn * per_query;
-    // Masks drawn sequentially (rng is not thread-safe), products fanned
-    // across the pool — the HDP batch pattern with the responder's one
-    // cipher matrix reused per query.
-    std::vector<BigInt> masks;
-    masks.reserve(total);
-    for (size_t qi = 0; qi < qn; ++qi) {
-      for (uint32_t k = 0; k < count; ++k) {
-        std::vector<BigInt> point_masks = ZeroSumMasks(rng, dims, n);
-        for (size_t j = 0; j < dims; ++j) {
-          masks.push_back(std::move(point_masks[j]));
-        }
-      }
-    }
-    std::vector<BigInt> magnitudes(qn * dims);
-    for (size_t qi = 0; qi < qn; ++qi) {
-      for (size_t j = 0; j < dims; ++j) {
-        magnitudes[qi * dims + j] = BigInt(queries[q0 + qi][j]).Abs();
-      }
-    }
-    std::vector<BigInt> products(total);
-    ParallelFor(total, [&](size_t i) {
-      const size_t qi = i / per_query;
-      const size_t j = i % dims;
-      const size_t c = i % per_query;
-      const bool negative = queries[q0 + qi][j] < 0;
-      products[i] = peer.MulPlain(negative ? negated[c] : ciphers[c],
-                                  magnitudes[qi * dims + j]);
-    });
-    // A cipher that is not a unit mod n² can power to 0, which no
-    // homomorphic step accepts: reject the peer's matrix instead.
-    for (const BigInt& product : products) {
-      if (!peer.IsValidCiphertext(product)) {
-        return AbortPeer(channel,
-                         Status::DataLoss("membership cipher not invertible"),
-                         "membership cipher not invertible");
-      }
-    }
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> mask_ciphers,
-                         peer.EncryptBatch(masks, rng));
-    std::vector<BigInt> blinded = peer.AddBatch(products, mask_ciphers);
+    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> products,
+                         matrix->Products(queries, q0, qn, rng));
     ByteWriter out;
-    for (const BigInt& c : blinded) WriteBigInt(out, c);
+    for (const BigInt& c : products) WriteBigInt(out, c);
     PPD_RETURN_IF_ERROR(SendMessage(channel, kMshResponse, out));
 
     std::vector<BigInt> xqs;
@@ -178,7 +104,7 @@ Result<std::vector<size_t>> MembershipBatchDriver(
     }
     PPD_ASSIGN_OR_RETURN(
         std::vector<bool> bits,
-        comparator.QuerierCompareBatch(channel, xqs, threshold));
+        comparator.QuerierCompareBatch(channel, xqs, threshold, count));
     for (size_t qi = 0; qi < qn; ++qi) {
       for (uint32_t k = 0; k < count; ++k) {
         if (bits[qi * count + k]) ++counts[q0 + qi];
@@ -235,11 +161,10 @@ Status MembershipBatchResponder(
     for (int64_t c : points[k]) sum_y2[k] += BigInt(c) * BigInt(c);
   }
 
-  const size_t per_query = count * dims;
-  const size_t flight = QueriesPerFlight(count, dims);
+  const size_t flight = QueriesPerFlight(count);
   for (size_t q0 = 0; q0 < q_count; q0 += flight) {
     const size_t qn = std::min(flight, size_t{q_count} - q0);
-    const size_t total = qn * per_query;
+    const size_t total = qn * count;
     PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                          ExpectMessage(channel, kMshResponse));
     ByteReader reader(payload);
@@ -273,15 +198,13 @@ Status MembershipBatchResponder(
     }
     PPD_ASSIGN_OR_RETURN(std::vector<BigInt> us,
                          session.own_paillier().DecryptBatch(response));
-    std::vector<BigInt> s_b(qn * count);
+    std::vector<BigInt> s_b(total);
     for (size_t qi = 0; qi < qn; ++qi) {
       for (size_t k = 0; k < count; ++k) {
-        BigInt sum_u;
-        for (size_t j = 0; j < dims; ++j) {
-          sum_u += us[qi * per_query + k * dims + j];
-        }
+        // u = x·y_k, the one value the responder learns per pair.
+        const BigInt& u = us[qi * count + k];
         s_b[qi * count + k] =
-            ctx.DecodeSigned((sum_y2[k] - BigInt(2) * sum_u).Mod(n));
+            ctx.DecodeSigned((sum_y2[k] - BigInt(2) * u).Mod(n));
       }
       // Fresh share permutation PER QUERY: the driver's query share is the
       // same for all of a query's comparisons, so shuffling our shares
@@ -293,7 +216,7 @@ Status MembershipBatchResponder(
         std::swap(base[i - 1], base[j]);
       }
     }
-    PPD_RETURN_IF_ERROR(comparator.PeerAssistBatch(channel, s_b));
+    PPD_RETURN_IF_ERROR(comparator.PeerAssistBatch(channel, s_b, count));
   }
   return Status::Ok();
 }

@@ -151,6 +151,56 @@ TEST_P(ComparatorTest, BatchMatchesTruthTable) {
   EXPECT_EQ(pieces.alice->invocations(), xq.size());
 }
 
+TEST_P(ComparatorTest, GroupedBatchMatchesTruthTable) {
+  // Runs of `group` comparisons share one querier value (the HDP and
+  // membership shape). Flight caps of 7 cut groups of 3 and 20 mid-run;
+  // the results must not depend on where the cuts fall.
+  const BigInt threshold(7);
+  const size_t total = 45;
+  for (size_t flight : {size_t{0}, size_t{7}, size_t{256}}) {
+    for (size_t group : {size_t{1}, size_t{3}, size_t{20}}) {
+      ComparatorOptions options;
+      options.kind = GetParam();
+      options.magnitude_bound = BigInt(64);
+      options.blinding_bits = 20;
+      options.max_batch_in_flight = flight;
+      Pieces pieces = Make(options);
+      std::vector<BigInt> xqs, xps;
+      std::vector<bool> want;
+      for (size_t i = 0; i < total; ++i) {
+        const int64_t xq = static_cast<int64_t>((i / group) % 5) * 5 - 10;
+        const int64_t xp = static_cast<int64_t>((i * 7) % 31) - 15;
+        xqs.push_back(BigInt(xq));
+        xps.push_back(BigInt(xp));
+        want.push_back(xq + xp <= 7);
+      }
+      auto [bits, assist] = RunTwoParty<Result<std::vector<bool>>, Status>(
+          *pair_,
+          [&](Channel& ch, const SmcSession&, SecureRng&) {
+            return pieces.alice->QuerierCompareBatch(ch, xqs, threshold,
+                                                     group);
+          },
+          [&](Channel& ch, const SmcSession&, SecureRng&) {
+            return pieces.bob->PeerAssistBatch(ch, xps, group);
+          });
+      ASSERT_TRUE(bits.ok()) << bits.status();
+      ASSERT_TRUE(assist.ok()) << assist;
+      EXPECT_EQ(*bits, want) << "flight=" << flight << " group=" << group;
+    }
+  }
+}
+
+TEST_P(ComparatorTest, GroupedBatchRejectsDifferingQuerierValues) {
+  ComparatorOptions options;
+  options.kind = GetParam();
+  options.magnitude_bound = BigInt(64);
+  Pieces pieces = Make(options);
+  // Validation fires before the first send, so no peer is needed.
+  Result<std::vector<bool>> bits = pieces.alice->QuerierCompareBatch(
+      *pair_->alice_channel, {BigInt(1), BigInt(2)}, BigInt(7), 2);
+  EXPECT_EQ(bits.status().code(), StatusCode::kInvalidArgument);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, ComparatorTest,
     ::testing::Values(ComparatorKind::kYmpp, ComparatorKind::kBlindedPaillier,

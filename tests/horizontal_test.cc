@@ -498,7 +498,8 @@ PartyScript ResponderSending(
 }
 
 /// Scripted driver: asks for one 2-D query against the real responder's
-/// matrix, then sends `response(expected_ciphers)` as its kMshResponse.
+/// matrix, then sends `response(expected_ciphers)` as its kMshResponse
+/// (one inner-product cipher per responder point).
 PartyScript DriverResponding(
     std::function<std::vector<uint8_t>(size_t expected)> response) {
   return [response](Channel& ch, const SmcSession&, SecureRng&) {
@@ -514,10 +515,8 @@ PartyScript DriverResponding(
     if (!matrix.ok()) return;
     ByteReader reader(*matrix);
     Result<uint32_t> count = reader.GetU32();
-    Result<uint32_t> dims = reader.GetU32();
-    if (!count.ok() || !dims.ok()) return;
-    (void)SendMessage(ch, kMshResponse,
-                      response(size_t{*count} * size_t{*dims}));
+    if (!count.ok()) return;
+    (void)SendMessage(ch, kMshResponse, response(size_t{*count}));
   };
 }
 
@@ -588,8 +587,8 @@ TEST(HorizontalBulkScanTest, NonInvertibleCipherIsDataLoss) {
 }
 
 TEST(HorizontalBulkScanTest, TruncatedResponseIsDataLoss) {
-  // An empty frame fails the up-front size check; one cipher short fails
-  // while reading the last cipher.
+  // An empty frame fails the up-front size check; a last cipher cut short
+  // fails while reading it.
   ExpectDataLoss(RunAgainstScript(PartyRole::kBob, MixedSignPoints(),
                                   DriverResponding([](size_t) {
                                     return UnitCiphers(0);
@@ -597,9 +596,23 @@ TEST(HorizontalBulkScanTest, TruncatedResponseIsDataLoss) {
                  "membership response truncated");
   ExpectDataLoss(RunAgainstScript(PartyRole::kBob, MixedSignPoints(),
                                   DriverResponding([](size_t expected) {
-                                    return UnitCiphers(expected - 1);
+                                    std::vector<uint8_t> frame =
+                                        UnitCiphers(expected);
+                                    frame.pop_back();
+                                    return frame;
                                   })),
                  "membership response unreadable: truncated");
+}
+
+TEST(HorizontalBulkScanTest, PerCoordinateResponseIsDataLoss) {
+  // The version-4 frame: one masked share per coordinate, Q·P·dims ciphers
+  // where one inner-product cipher per pair is expected.
+  Status status = RunAgainstScript(
+      PartyRole::kBob, MixedSignPoints(),
+      DriverResponding([](size_t expected) {
+        return UnitCiphers(expected * 2);
+      }));
+  ExpectDataLoss(status, "trailing membership response bytes");
 }
 
 TEST(HorizontalBulkScanTest, OversizedResponseIsDataLoss) {

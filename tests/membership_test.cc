@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
+#include "bigint/codec.h"
+#include "net/recording_channel.h"
 #include "smc/comparator.h"
 #include "test_util.h"
 
@@ -27,10 +30,13 @@ class MembershipTest : public ::testing::Test {
     std::unique_ptr<SecureComparator> bob;
   };
 
-  Comparators MakeComparators() {
+  Comparators MakeComparators(
+      ComparatorKind kind = ComparatorKind::kIdeal,
+      size_t max_batch_in_flight = ComparatorOptions().max_batch_in_flight) {
     ComparatorOptions options;
-    options.kind = ComparatorKind::kIdeal;
+    options.kind = kind;
     options.magnitude_bound = BigInt(int64_t{1} << 50);
+    options.max_batch_in_flight = max_batch_in_flight;
     Result<std::unique_ptr<SecureComparator>> a =
         CreateComparator(options, *pair_->alice, *pair_->alice_rng);
     Result<std::unique_ptr<SecureComparator>> b =
@@ -125,9 +131,10 @@ TEST_F(MembershipTest, MixedDimensionQueriesRejectedBeforeAnyTraffic) {
 }
 
 TEST_F(MembershipTest, ChunkedFlightsMatchPlaintext) {
-  // count * dims > kMshMaxCiphersPerFlight forces one query per flight, so
-  // three queries exercise the multi-flight schedule end to end.
-  const size_t count = kMshMaxCiphersPerFlight / 2 + 1;  // dims=2 → 1/flight
+  // count > kMshMaxCiphersPerFlight / 2 leaves room for one query's
+  // count inner products per flight, so three queries exercise the
+  // multi-flight schedule end to end.
+  const size_t count = kMshMaxCiphersPerFlight / 2 + 1;  // 1 query/flight
   std::vector<std::vector<int64_t>> points;
   points.reserve(count);
   for (size_t k = 0; k < count; ++k) {
@@ -140,6 +147,65 @@ TEST_F(MembershipTest, ChunkedFlightsMatchPlaintext) {
   ASSERT_TRUE(counts.ok()) << counts.status();
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(*counts, BruteForce(queries, points, eps2));
+}
+
+/// Frames of `type` that `transcript` saw in `direction`, payloads only.
+std::vector<std::vector<uint8_t>> FramesOf(const Transcript& transcript,
+                                           TranscriptFrame::Direction direction,
+                                           uint16_t type) {
+  std::vector<std::vector<uint8_t>> out;
+  for (const TranscriptFrame& frame : transcript.frames) {
+    if (frame.direction != direction || frame.payload.size() < 2) continue;
+    if ((frame.payload[0] << 8 | frame.payload[1]) != type) continue;
+    out.emplace_back(frame.payload.begin() + 2, frame.payload.end());
+  }
+  return out;
+}
+
+TEST_F(MembershipTest, WireCarriesOneCipherPerPairAndOneQueryPerQuery) {
+  // Q = 3 queries against P = 5 points in 2-D: the driver's response holds
+  // Q·P inner-product ciphers (not Q·P·dims), and the blinded querier sends
+  // one query cipher per query — also when flights of 4 cut the groups.
+  const std::vector<std::vector<int64_t>> points = {
+      {0, 0}, {3, -4}, {-3, 4}, {10, 0}, {0, -1}};
+  const std::vector<std::vector<int64_t>> queries = {{0, 0}, {-2, 3}, {9, 1}};
+  for (size_t flight : {size_t{256}, size_t{4}}) {
+    Comparators comparators =
+        MakeComparators(ComparatorKind::kBlindedPaillier, flight);
+    RecordingChannel recorder(pair_->alice_channel.get());
+    Status responder = Status::Internal("unset");
+    std::thread bob([&] {
+      responder = MembershipBatchResponder(*pair_->bob_channel, *pair_->bob,
+                                           *comparators.bob, points,
+                                           *pair_->bob_rng);
+    });
+    Result<std::vector<size_t>> counts = MembershipBatchDriver(
+        recorder, *pair_->alice, *comparators.alice, queries, 25,
+        *pair_->alice_rng);
+    bob.join();
+    ASSERT_TRUE(counts.ok()) << counts.status();
+    ASSERT_TRUE(responder.ok()) << responder;
+    EXPECT_EQ(*counts, BruteForce(queries, points, 25));
+
+    const auto kSent = TranscriptFrame::Direction::kSent;
+    std::vector<std::vector<uint8_t>> responses =
+        FramesOf(recorder.transcript(), kSent, kMshResponse);
+    ASSERT_EQ(responses.size(), 1u);
+    ByteReader reader(responses[0]);
+    size_t ciphers = 0;
+    while (!reader.Done()) {
+      ASSERT_TRUE(ReadBigInt(reader).ok());
+      ++ciphers;
+    }
+    EXPECT_EQ(ciphers, queries.size() * points.size());
+    EXPECT_EQ(FramesOf(recorder.transcript(), kSent, kBlindQuery).size(),
+              queries.size())
+        << "flight=" << flight;
+    EXPECT_EQ(FramesOf(recorder.transcript(),
+                       TranscriptFrame::Direction::kReceived, kBlindAnswer)
+                  .size(),
+              queries.size() * points.size());
+  }
 }
 
 }  // namespace
