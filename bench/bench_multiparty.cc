@@ -1,15 +1,14 @@
 // E8 — multi-party horizontal extension (§1: "the two-party algorithm can
-// be extended to multi-party cases"; core/multiparty.h).
+// be extended to multi-party cases"; core/horizontal.h).
 //
 // With equal shares l = n/P, the pairwise-composition cost is
 //     Σ_d l_d · (n − l_d) = n² · (1 − 1/P)
-// HDP executions: increasing and saturating in P at fixed n. The harness
+// secure comparisons: increasing and saturating in P at fixed n. The harness
 // measures exact bytes and checks the ratio against that prediction; it
 // also reports the per-party disclosure count, which grows as (P−1) per
 // core test (Theorem 9 applies per link).
 
 #include "bench_util.h"
-#include "core/multiparty.h"
 
 namespace ppdbscan {
 namespace {
@@ -37,17 +36,21 @@ void Run(bool csv) {
     for (size_t i = 0; i < n; ++i) {
       PPD_CHECK(parties[i % p].Add(full.point(i)).ok());
     }
-    Result<MultipartyOutcome> out =
-        ExecuteMultipartyHorizontal(parties, smc, options);
+    std::vector<LocalJob> jobs;
+    for (size_t i = 0; i < p; ++i) {
+      jobs.push_back(
+          {ClusteringJob::Multiparty(parties[i], i, p, options), 0x9bd1 + i});
+    }
+    Result<std::vector<RunOutcome>> out = ExecuteLocal(jobs, smc);
     PPD_CHECK_MSG(out.ok(), out.status().ToString().c_str());
 
     uint64_t bytes = 0;
-    for (const ChannelStats& s : out->stats) bytes += s.bytes_sent;
     // Every point is core-tested exactly once by its owner, and each test
     // records one peer count per link: n·(P−1) events in total.
     uint64_t disclosures = 0;
-    for (const DisclosureLog& log : out->disclosures) {
-      disclosures += log.Count("peer_neighbor_count");
+    for (const RunOutcome& party : *out) {
+      bytes += party.stats.bytes_sent;
+      disclosures += party.disclosures.Count("peer_neighbor_count");
     }
     double predicted = static_cast<double>(n) * static_cast<double>(n) *
                        (1.0 - 1.0 / static_cast<double>(p));
@@ -58,7 +61,7 @@ void Run(bool csv) {
                   ResultTable::Fmt(static_cast<uint64_t>(n * (p - 1)))});
   }
   bench_util::Emit(table, csv, "E8 Multi-party horizontal (fixed n, equal shares)",
-                   "pairwise composition costs n^2(1-1/P) HDP executions; "
+                   "pairwise composition costs n^2(1-1/P) comparisons; "
                    "bytes/predicted should be ~constant across P");
 }
 

@@ -1,10 +1,11 @@
 // Multi-party extension (§1: "the two-party algorithm can be extended to
 // multi-party cases"): a consortium of FOUR hospitals jointly clusters
 // patient phenotypes. Every pairwise link runs the unmodified two-party
-// sub-protocols (HDP + secure comparison) over its own key exchange, and a
-// scanning hospital's core test sums one private count per peer — so
+// sub-protocols (membership + secure comparison) over its own key
+// exchange, and a scanning hospital's core test sums one private count per
+// peer — so
 // Theorem 9's disclosure bound applies per link and the composition
-// theorem covers the whole run (core/multiparty.h).
+// theorem covers the whole run (core/horizontal.h).
 //
 // The demo shows a phenotype cluster that NO hospital can see alone: each
 // holds too few of its patients for the density threshold, but the

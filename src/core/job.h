@@ -25,8 +25,10 @@ namespace ppdbscan {
 /// changes; peers with different versions fail the handshake with
 /// kFailedPrecondition instead of misreading each other's frames.
 /// Version 5: one inner-product cipher per HDP/membership/arbitrary pair
-/// and one blinded query cipher per comparator group.
-inline constexpr uint16_t kJobProtocolVersion = 5;
+/// and one blinded query cipher per comparator group. Version 6: the
+/// multi-party scan and the sieve plan's core tests run one membership
+/// round per peer instead of one HDP batch per point.
+inline constexpr uint16_t kJobProtocolVersion = 6;
 
 /// How the virtual database is split between the parties — the four
 /// variants of the paper presented as one protocol family (§4.2 horizontal,

@@ -6,7 +6,6 @@
 
 #include "core/arbitrary.h"
 #include "core/horizontal.h"
-#include "core/multiparty.h"
 #include "core/vertical.h"
 #include "core/wire.h"
 #include "net/message.h"
@@ -409,6 +408,17 @@ Status PartyRuntime::ValidateJob(const ClusteringJob& job) const {
       return Status::InvalidArgument(
           "job party position does not match this mesh runtime");
     }
+    // Even at P = 2: a kMultiparty job is the N-party protocol.
+    if (job.options.mode != HorizontalMode::kBasic) {
+      return Status::InvalidArgument(
+          "multi-party runs support HorizontalMode::kBasic only (see "
+          "core/horizontal.h)");
+    }
+    if (job.options.cross_party_merge) {
+      return Status::InvalidArgument(
+          "cross_party_merge is a two-party extension; not defined for "
+          "multi-party runs");
+    }
   } else if (mesh_) {
     return Status::InvalidArgument(
         "two-party jobs need a two-party runtime (Connect)");
@@ -543,12 +553,6 @@ Result<RunOutcome> PartyRuntime::RunJobRounds(const ClusteringJob& job) {
   const auto protocol_start = SteadyClock::now();
   Result<PartyClusteringResult> clustering = Status::Internal("unreached");
   switch (job.scheme) {
-    case PartitionScheme::kHorizontal:
-      clustering = RunHorizontalDbscan(
-          *links_[0], *sessions_[0], std::get<Dataset>(job.data), job.role,
-          job.options, *rng_, &outcome.disclosures,
-          &outcome.selection_comparisons, &outcome.plan);
-      break;
     case PartitionScheme::kVertical:
       clustering = RunVerticalDbscan(
           *links_[0], *sessions_[0], std::get<Dataset>(job.data), job.role,
@@ -559,15 +563,25 @@ Result<RunOutcome> PartyRuntime::RunJobRounds(const ClusteringJob& job) {
           *links_[0], *sessions_[0], std::get<ArbitraryPartyView>(job.data),
           job.role, job.options, *rng_, &outcome.disclosures);
       break;
+    case PartitionScheme::kHorizontal:
     case PartitionScheme::kMultiparty: {
-      std::vector<const SmcSession*> session_ptrs(parties_, nullptr);
-      for (size_t j = 0; j < parties_; ++j) {
-        if (j != index_) session_ptrs[j] = sessions_[j].get();
+      // One engine for both: a two-party runtime's single link is the
+      // peer slot of a two-entry list, indexed by the role.
+      const size_t own_index =
+          mesh_ ? index_ : (job.role == PartyRole::kAlice ? 0 : 1);
+      const size_t party_count = mesh_ ? parties_ : 2;
+      std::vector<Channel*> links(party_count, nullptr);
+      std::vector<const SmcSession*> sessions(party_count, nullptr);
+      for (size_t j = 0; j < party_count; ++j) {
+        if (j == own_index) continue;
+        const size_t slot = mesh_ ? j : 0;
+        links[j] = links_[slot];
+        sessions[j] = sessions_[slot].get();
       }
-      clustering = RunMultipartyHorizontalDbscan(
-          links_, session_ptrs, std::get<Dataset>(job.data),
-          MultipartyRole{.index = index_, .parties = parties_}, job.options,
-          *rng_, &outcome.disclosures, &outcome.plan);
+      clustering = RunHorizontalDbscan(
+          links, sessions, std::get<Dataset>(job.data), own_index,
+          party_count, job.options, *rng_, &outcome.disclosures,
+          &outcome.selection_comparisons, &outcome.plan);
       break;
     }
   }

@@ -120,14 +120,20 @@ Result<DbscanResult> RunSievePlan(const Dataset& own,
   };
 
   // Phase 1: the exact scan over the sieved subset. Core status does not
-  // depend on scan order, so the hook tests every sieved point once, in
-  // index order, and the subset then expands locally.
-  std::vector<bool> sub_flags(m);
-  for (size_t si = 0; si < m; ++si) {
-    PPD_ASSIGN_OR_RETURN(
-        bool core,
-        hooks.core_test(own.point(sieved[si]), own_full_count(sieved[si])));
-    sub_flags[si] = core;
+  // depend on scan order, so the hook tests every sieved point in one
+  // batch, and the subset then expands locally.
+  std::vector<std::vector<int64_t>> sieved_points;
+  std::vector<size_t> sieved_full;
+  sieved_points.reserve(m);
+  sieved_full.reserve(m);
+  for (size_t idx : sieved) {
+    sieved_points.push_back(own.point(idx));
+    sieved_full.push_back(own_full_count(idx));
+  }
+  PPD_ASSIGN_OR_RETURN(std::vector<bool> sub_flags,
+                       hooks.core_test(sieved_points, sieved_full));
+  if (sub_flags.size() != m) {
+    return Status::Internal("core-test hook returned wrong batch size");
   }
   const DbscanResult sub = ExpandWithCoreFlags(sieved_view, params, sub_flags);
   const std::vector<int32_t>& sub_labels = sub.labels;

@@ -119,16 +119,17 @@ void WriteBoundingBox(ByteWriter& out, const BoundingBox& box);
 Result<BoundingBox> ReadBoundingBox(ByteReader& reader, size_t dims);
 
 /// Protocol callouts of the sieve engine. The engine itself is pure local
-/// computation; everything encrypted goes through these two hooks, so the
-/// same engine drives the two-party run (one peer link) and the
-/// multi-party run (one call fans out over every link).
+/// computation; everything encrypted goes through these two hooks, which
+/// the horizontal scan (core/horizontal.h) binds to its peer links.
 struct SievePeerHooks {
-  /// Encrypted core test for one sieved point. `own_full` is the point's
-  /// neighbour count over the FULL local dataset (free plaintext);
-  /// implementations fold in the peers' sieved counts — basic mode:
-  /// own_full + k · Σ peer_sieved_count >= MinPts.
-  std::function<Result<bool>(const std::vector<int64_t>& point,
-                             size_t own_full)>
+  /// Encrypted core test for every sieved point at once. `own_full[t]` is
+  /// points[t]'s neighbour count over the FULL local dataset (free
+  /// plaintext); implementations fold in the peers' sieved counts — basic
+  /// mode: own_full + k · Σ peer_sieved_count >= MinPts. Returns one flag
+  /// per point. Called once per run, never with an empty batch.
+  std::function<Result<std::vector<bool>>(
+      const std::vector<std::vector<int64_t>>& points,
+      const std::vector<size_t>& own_full)>
       core_test;
   /// Batched rescue round: counts[q] = peer sieved points within Eps of
   /// queries[q], summed over peers (smc/membership.h). Called at most once
@@ -140,8 +141,8 @@ struct SievePeerHooks {
 };
 
 /// The sieve plan, peer-agnostic: (1) core-test every point of the
-/// deterministic 1-in-k subset once, in index order, via hooks.core_test
-/// with full local counts, then expand the subset locally
+/// deterministic 1-in-k subset in one hooks.core_test batch, in index
+/// order, with full local counts, then expand the subset locally
 /// (ExpandWithCoreFlags); (2) assign each leftover point to the cluster of its first (lowest
 /// subset index) sieved local core within Eps; (3) for leftovers with no
 /// such core, decide core-ness from own_full plus one batched

@@ -166,8 +166,7 @@ Result<std::vector<RunOutcome>> ExecuteLocal(
     return Status::InvalidArgument("ExecuteLocal needs >= 2 parties");
   }
   // kMultiparty jobs always run over a mesh runtime, even with two
-  // parties (the multi-party protocol is a different wire conversation
-  // than the two-party horizontal one).
+  // parties (their hello names the multi-party scheme and position).
   const bool mesh = parties.size() > 2 ||
                     parties[0].job.scheme == PartitionScheme::kMultiparty;
   if (!mesh) {

@@ -11,7 +11,7 @@ namespace ppdbscan {
 namespace wire {
 
 // Horizontal protocol (Algorithms 3/4 and 7/8).
-inline constexpr uint16_t kHzQueryBasic = 0x1001;     // driver asks for an HDP batch
+inline constexpr uint16_t kHzQueryBasic = 0x1001;     // Kumar baseline: one HDP batch
 inline constexpr uint16_t kHzQueryEnhanced = 0x1002;  // driver asks for a §5 core test
 inline constexpr uint16_t kHzScanDone = 0x1003;       // driver finished its scan
 inline constexpr uint16_t kHdpCiphers = 0x1004;       // responder's E(y) batch

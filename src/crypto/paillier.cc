@@ -228,16 +228,6 @@ std::vector<BigInt> PaillierContext::MulPlainBatch(
   return out;
 }
 
-std::vector<BigInt> PaillierContext::AddBatch(const std::vector<BigInt>& c1s,
-                                              const std::vector<BigInt>& c2s,
-                                              ThreadPool* pool) const {
-  PPD_CHECK_MSG(c1s.size() == c2s.size(), "AddBatch size mismatch");
-  std::vector<BigInt> out(c1s.size());
-  ParallelFor(
-      c1s.size(), [&](size_t i) { out[i] = Add(c1s[i], c2s[i]); }, pool);
-  return out;
-}
-
 BigInt PaillierContext::Add(const BigInt& c1, const BigInt& c2) const {
   PPD_CHECK_MSG(IsValidCiphertext(c1) && IsValidCiphertext(c2),
                 "invalid ciphertext");

@@ -142,10 +142,6 @@ class PaillierContext {
   std::vector<BigInt> MulPlainBatch(const std::vector<BigInt>& cs,
                                     const std::vector<BigInt>& ks,
                                     ThreadPool* pool = nullptr) const;
-  /// Element-wise Add: out[i] = Add(c1s[i], c2s[i]).
-  std::vector<BigInt> AddBatch(const std::vector<BigInt>& c1s,
-                               const std::vector<BigInt>& c2s,
-                               ThreadPool* pool = nullptr) const;
 
   /// Fresh re-randomization: multiplies by an encryption of zero.
   Result<BigInt> Rerandomize(const BigInt& c, SecureRng& rng) const;

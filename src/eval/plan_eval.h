@@ -10,7 +10,7 @@ namespace ppdbscan {
 
 /// Plaintext exact-semantics oracle for the horizontal protocol family:
 /// computes, for ONE party, exactly the clustering the privacy-preserving
-/// protocol (core/horizontal.h, core/multiparty.h) would output in
+/// protocol (core/horizontal.h) would output in
 /// PlanMode::kExact — the same scan order, the same core rule
 /// |own N_eps| + Σ_peer |peer N_eps| >= MinPts, and the same
 /// expansion-through-own-points-only restriction, with every encrypted

@@ -411,53 +411,83 @@ TEST(HorizontalBulkScanTest, DisclosesOnePlaintextCountPerCandidate) {
   }
 }
 
-TEST(HorizontalBulkScanTest, BasicRoundsStayConstantAsPointsDouble) {
-  // Each scan is one membership round whose comparisons travel in
-  // comparator flights of max_batch_in_flight: with no cap the round count
-  // is a constant; under the default cap of 256 it grows only with the
-  // flight count, 2·⌈pairs/256⌉ per scan.
-  uint64_t unlimited[2] = {0, 0};
-  const size_t per_blob[2] = {12, 24};  // n = 40 and n = 80 points
-  for (size_t t = 0; t < 2; ++t) {
-    SecureRng rng(33);
-    RawDataset raw = MakeBlobs(rng, 3, per_blob[t], 2, 0.5, 6.0);
-    AddUniformNoise(raw, rng, 4 * (t + 1), 9.0);
-    FixedPointEncoder enc(4.0);
-    Dataset full = *enc.Encode(raw);
-    ASSERT_EQ(full.size(), 40u * (t + 1));
-    HorizontalPartition hp = *PartitionHorizontal(full, rng, 0.5);
-    const uint64_t pairs = hp.alice.size() * hp.bob.size();
-    for (size_t flight : {size_t{0}, size_t{256}}) {
-      FastConfig config(kBulkEpsSquared, kBulkMinPts);
-      config.protocol.comparator.kind = ComparatorKind::kBlindedPaillier;
-      config.protocol.comparator.blinding_bits = 40;
-      config.protocol.comparator.max_batch_in_flight = flight;
-      Result<std::vector<RunOutcome>> out =
-          RunHorizontal(hp.alice, hp.bob, config);
-      ASSERT_TRUE(out.ok()) << out.status();
-      const uint64_t rounds = (*out)[0].stats.rounds;
-      if (flight == 0) {
-        unlimited[t] = rounds;
-        EXPECT_LE(rounds, 12u) << "n=" << full.size();
-      } else {
-        EXPECT_LE(rounds, 8 + 4 * ((pairs + flight - 1) / flight))
-            << "n=" << full.size();
-      }
-    }
+/// Runs `parts` as a horizontal job: the two-party job for two parts, one
+/// kMultiparty job per part otherwise.
+Result<std::vector<RunOutcome>> RunSplit(const std::vector<Dataset>& parts,
+                                         const FastConfig& config) {
+  if (parts.size() == 2) return RunHorizontal(parts[0], parts[1], config);
+  std::vector<LocalJob> jobs;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    jobs.push_back({ClusteringJob::Multiparty(parts[i], i, parts.size(),
+                                              config.protocol),
+                    0x0a11ce + i});
   }
-  EXPECT_EQ(unlimited[1], unlimited[0]);
+  return ExecuteLocal(jobs, config.smc);
 }
 
-/// Runs the real horizontal scan (exact plan, basic mode) as `role` over
-/// `points` against `script`, which plays the other party on a raw
-/// MemoryChannel. The script's end is closed when it returns, so a decoder
-/// that wrongly accepts a frame fails on the closed channel instead of
-/// hanging.
+TEST(HorizontalBulkScanTest, BasicRoundsStayConstantAsPointsDouble) {
+  // Each scan is one membership round per peer link whose comparisons
+  // travel in comparator flights of max_batch_in_flight: with no cap the
+  // round count is a constant; under the default cap of 256 it grows only
+  // with the flight count, 2·⌈pairs/256⌉ per scan and link. Three parties
+  // run the same scan over two links per party.
+  for (size_t parties : {size_t{2}, size_t{3}}) {
+    uint64_t unlimited[2] = {0, 0};
+    const size_t per_blob[2] = {12, 24};  // n = 40 and n = 80 points
+    for (size_t t = 0; t < 2; ++t) {
+      SecureRng rng(33);
+      RawDataset raw = MakeBlobs(rng, 3, per_blob[t], 2, 0.5, 6.0);
+      AddUniformNoise(raw, rng, 4 * (t + 1), 9.0);
+      FixedPointEncoder enc(4.0);
+      Dataset full = *enc.Encode(raw);
+      ASSERT_EQ(full.size(), 40u * (t + 1));
+      std::vector<Dataset> parts;
+      if (parties == 2) {
+        HorizontalPartition hp = *PartitionHorizontal(full, rng, 0.5);
+        parts = {hp.alice, hp.bob};
+      } else {
+        parts.assign(parties, Dataset(2));
+        for (size_t i = 0; i < full.size(); ++i) {
+          PPD_CHECK(parts[i % parties].Add(full.point(i)).ok());
+        }
+      }
+      for (size_t flight : {size_t{0}, size_t{256}}) {
+        FastConfig config(kBulkEpsSquared, kBulkMinPts);
+        config.protocol.comparator.kind = ComparatorKind::kBlindedPaillier;
+        config.protocol.comparator.blinding_bits = 40;
+        config.protocol.comparator.max_batch_in_flight = flight;
+        Result<std::vector<RunOutcome>> out = RunSplit(parts, config);
+        ASSERT_TRUE(out.ok()) << out.status();
+        const uint64_t rounds = (*out)[0].stats.rounds;
+        if (flight == 0) {
+          unlimited[t] = rounds;
+          EXPECT_LE(rounds, 12u * (parties - 1))
+              << "P=" << parties << " n=" << full.size();
+        } else {
+          uint64_t bound = 0;
+          for (size_t j = 1; j < parties; ++j) {
+            const uint64_t pairs = parts[0].size() * parts[j].size();
+            bound += 8 + 4 * ((pairs + flight - 1) / flight);
+          }
+          EXPECT_LE(rounds, bound) << "P=" << parties << " n=" << full.size();
+        }
+      }
+    }
+    EXPECT_EQ(unlimited[1], unlimited[0]) << "P=" << parties;
+  }
+}
+
+/// Runs the real horizontal scan under `options` (default: exact plan,
+/// basic mode) as `role` over `points` against `script`, which plays the
+/// other party on a raw MemoryChannel. The script's end is closed when it
+/// returns, so a decoder that wrongly accepts a frame fails on the closed
+/// channel instead of hanging.
 using PartyScript =
     std::function<void(Channel&, const SmcSession&, SecureRng&)>;
 
-Status RunAgainstScript(PartyRole role, const Dataset& points,
-                        const PartyScript& script) {
+Status RunAgainstScript(
+    PartyRole role, const Dataset& points, const PartyScript& script,
+    const ProtocolOptions& options = FastConfig(kBulkEpsSquared, 2).protocol) {
   FastConfig config(kBulkEpsSquared, 2);
   auto [real_ch, script_ch] = MemoryChannel::CreatePair();
   SecureRng real_rng(1), script_rng(2);
@@ -473,12 +503,17 @@ Status RunAgainstScript(PartyRole role, const Dataset& points,
   }
   PPD_CHECK(real_session.ok() && script_session.ok());
 
+  const size_t index = role == PartyRole::kAlice ? 0 : 1;
+  std::vector<Channel*> links(2, nullptr);
+  std::vector<const SmcSession*> sessions(2, nullptr);
+  links[1 - index] = real_ch.get();
+  sessions[1 - index] = &*real_session;
   std::thread scripted([&] {
     script(*script_ch, *script_session, script_rng);
     script_ch->Close();
   });
   Result<PartyClusteringResult> result = RunHorizontalDbscan(
-      *real_ch, *real_session, points, role, config.protocol, real_rng);
+      links, sessions, points, index, 2, options, real_rng);
   real_ch->Close();
   scripted.join();
   return result.status();
@@ -622,6 +657,70 @@ TEST(HorizontalBulkScanTest, OversizedResponseIsDataLoss) {
         return UnitCiphers(expected + 1);
       }));
   ExpectDataLoss(status, "trailing membership response bytes");
+}
+
+// --- E7 merge-phase decoder ---------------------------------------------
+// The real party holds no points, so both scans are empty and the script
+// reaches the merge phase at once. Counts a peer sends must be checked
+// before anything is sized by them.
+
+ProtocolOptions MergeOptions() {
+  ProtocolOptions options = FastConfig(kBulkEpsSquared, 2).protocol;
+  options.cross_party_merge = true;
+  return options;
+}
+
+std::vector<uint8_t> MergeCores(uint32_t cores, uint32_t clusters) {
+  ByteWriter out;
+  out.PutU32(cores);
+  out.PutU32(clusters);
+  return out.data();
+}
+
+/// Scripted Bob: serves Alice's empty scan, runs its own, then answers
+/// Alice's kMergeCores with `reply`.
+PartyScript BobMergeReplying(std::vector<uint8_t> reply) {
+  return [reply](Channel& ch, const SmcSession&, SecureRng&) {
+    if (!ExpectMessage(ch, wire::kHzScanDone).ok()) return;
+    if (!SendMessage(ch, wire::kHzScanDone, std::vector<uint8_t>()).ok()) {
+      return;
+    }
+    if (!ExpectMessage(ch, wire::kMergeCores).ok()) return;
+    (void)SendMessage(ch, wire::kMergeCores, reply);
+  };
+}
+
+TEST(HorizontalMergeDecoderTest, CoreCountBeyondPayloadIsDataLoss) {
+  // 2³²−1 cores with an empty body: rejected before the core list is
+  // allocated.
+  ExpectDataLoss(RunAgainstScript(PartyRole::kAlice, Dataset(2),
+                                  BobMergeReplying(MergeCores(0xFFFFFFFF, 0)),
+                                  MergeOptions()),
+                 "merge core list truncated");
+}
+
+TEST(HorizontalMergeDecoderTest, MoreClustersThanCoresIsDataLoss) {
+  // Every cluster is opened by a core; 2³²−1 clusters over 0 cores would
+  // size the merge union-find. Alice's side:
+  ExpectDataLoss(RunAgainstScript(PartyRole::kAlice, Dataset(2),
+                                  BobMergeReplying(MergeCores(0, 0xFFFFFFFF)),
+                                  MergeOptions()),
+                 "merge cluster count exceeds core count");
+  // Bob's side: a scripted Alice with an empty scan opens the merge.
+  ExpectDataLoss(
+      RunAgainstScript(
+          PartyRole::kBob, Dataset(2),
+          [](Channel& ch, const SmcSession&, SecureRng&) {
+            if (!SendMessage(ch, wire::kHzScanDone, std::vector<uint8_t>())
+                     .ok() ||
+                !ExpectMessage(ch, wire::kHzScanDone).ok()) {
+              return;
+            }
+            (void)SendMessage(ch, wire::kMergeCores,
+                              MergeCores(0, 0xFFFFFFFF));
+          },
+          MergeOptions()),
+      "merge cluster count exceeds core count");
 }
 
 }  // namespace

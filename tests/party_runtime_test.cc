@@ -220,38 +220,44 @@ TEST(NegotiationTest, RoleCollisionFailsBothSides) {
 
 TEST(NegotiationTest, VersionFourHelloFailsPrecondition) {
   // A peer built before the version-5 frames (one inner-product cipher per
-  // pair, one blinded query per group) echoes our hello with version 4.
-  static_assert(kJobProtocolVersion == 5);
+  // pair, one blinded query per group) echoes our hello with version 4; one
+  // built before version 6 (one membership round per peer in the
+  // multi-party and sieve scans) echoes version 5.
+  static_assert(kJobProtocolVersion == 6);
   Workload w = MakeWorkload();
   ClusteringJob job = ClusteringJob::Horizontal(w.full, PartyRole::kAlice,
                                                 FastOptions(w.params));
-  auto [alice_channel, bob_channel] = MemoryChannel::CreatePair();
-  std::thread script([&] {
-    SecureRng rng(2);
-    Result<SmcSession> session =
-        SmcSession::Establish(*bob_channel, rng, FastSmc());
-    Result<std::vector<uint8_t>> hello =
-        session.ok() ? ExpectMessage(*bob_channel, wire::kJobHello)
-                     : Result<std::vector<uint8_t>>(session.status());
-    if (hello.ok() && hello->size() >= 2) {
-      std::vector<uint8_t> old_hello = *hello;
-      old_hello[0] = 0;
-      old_hello[1] = 4;
-      (void)SendMessage(*bob_channel, wire::kJobHello, old_hello);
-    }
-    bob_channel->Close();
-  });
-  Result<PartyRuntime> runtime =
-      PartyRuntime::Connect(*alice_channel, SecureRng(1), FastSmc());
-  ASSERT_TRUE(runtime.ok()) << runtime.status();
-  Result<RunOutcome> outcome = runtime->Run(job);
-  alice_channel->Close();
-  script.join();
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition)
-      << outcome.status();
-  EXPECT_NE(outcome.status().message().find("version 4"), std::string::npos)
-      << outcome.status();
+  for (uint8_t old_version : {4, 5}) {
+    auto [alice_channel, bob_channel] = MemoryChannel::CreatePair();
+    std::thread script([&] {
+      SecureRng rng(2);
+      Result<SmcSession> session =
+          SmcSession::Establish(*bob_channel, rng, FastSmc());
+      Result<std::vector<uint8_t>> hello =
+          session.ok() ? ExpectMessage(*bob_channel, wire::kJobHello)
+                       : Result<std::vector<uint8_t>>(session.status());
+      if (hello.ok() && hello->size() >= 2) {
+        std::vector<uint8_t> old_hello = *hello;
+        old_hello[0] = 0;
+        old_hello[1] = old_version;
+        (void)SendMessage(*bob_channel, wire::kJobHello, old_hello);
+      }
+      bob_channel->Close();
+    });
+    Result<PartyRuntime> runtime =
+        PartyRuntime::Connect(*alice_channel, SecureRng(1), FastSmc());
+    ASSERT_TRUE(runtime.ok()) << runtime.status();
+    Result<RunOutcome> outcome = runtime->Run(job);
+    alice_channel->Close();
+    script.join();
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition)
+        << outcome.status();
+    EXPECT_NE(outcome.status().message().find(
+                  "version " + std::to_string(old_version)),
+              std::string::npos)
+        << outcome.status();
+  }
 }
 
 TEST(NegotiationTest, DigestIsOrderStableAndFieldSensitive) {

@@ -104,6 +104,14 @@ TEST(PlanStatsTest, SavedFractionClampsAndSummarizes) {
   EXPECT_NE(stats.Summary().find("plan[sieve k=4]"), std::string::npos);
 }
 
+/// A batched core-test hook fake: local counts only, no peer density.
+Result<std::vector<bool>> LocalCoreFlags(const std::vector<size_t>& own_full,
+                                         const DbscanParams& params) {
+  std::vector<bool> core;
+  for (size_t count : own_full) core.push_back(count >= params.min_pts);
+  return core;
+}
+
 TEST(RunSievePlanTest, MatchesLocalDbscanOnSeparatedBlobs) {
   // Without peer density (core_test = local count only), the sieve plan on
   // two tight blobs must reproduce plain DBSCAN exactly: sieved points scan,
@@ -112,8 +120,9 @@ TEST(RunSievePlanTest, MatchesLocalDbscanOnSeparatedBlobs) {
                            {50, 50}, {51, 50}, {50, 51}, {51, 51}});
   DbscanParams params{2, 2};
   SievePeerHooks hooks;
-  hooks.core_test = [&](const std::vector<int64_t>&, size_t own_full) {
-    return Result<bool>(own_full >= params.min_pts);
+  hooks.core_test = [&](const std::vector<std::vector<int64_t>>&,
+                        const std::vector<size_t>& own_full) {
+    return LocalCoreFlags(own_full, params);
   };
   hooks.membership = [](const std::vector<std::vector<int64_t>>& queries)
       -> Result<std::vector<size_t>> {
@@ -141,8 +150,9 @@ TEST(RunSievePlanTest, RescueRoundPromotesPeerDenseLeftover) {
   DbscanParams params{2, 3};
   size_t membership_calls = 0;
   SievePeerHooks hooks;
-  hooks.core_test = [&](const std::vector<int64_t>&, size_t own_full) {
-    return Result<bool>(own_full >= params.min_pts);  // peer sees nothing
+  hooks.core_test = [&](const std::vector<std::vector<int64_t>>&,
+                        const std::vector<size_t>& own_full) {
+    return LocalCoreFlags(own_full, params);  // peer sees nothing
   };
   hooks.membership = [&](const std::vector<std::vector<int64_t>>& queries)
       -> Result<std::vector<size_t>> {
@@ -184,8 +194,9 @@ TEST(RunSievePlanTest, DeterministicAcrossReruns) {
   }
   DbscanParams params{9, 4};
   SievePeerHooks hooks;
-  hooks.core_test = [&](const std::vector<int64_t>&, size_t own_full) {
-    return Result<bool>(own_full >= params.min_pts);
+  hooks.core_test = [&](const std::vector<std::vector<int64_t>>&,
+                        const std::vector<size_t>& own_full) {
+    return LocalCoreFlags(own_full, params);
   };
   hooks.membership = [](const std::vector<std::vector<int64_t>>& queries)
       -> Result<std::vector<size_t>> {

@@ -94,7 +94,7 @@ std::pair<A, B> RunTwoParty(SessionPair& pair,
 /// public driver order of the multi-party protocol) wired with a full
 /// pairwise mesh of in-process channels, one established SMC session and
 /// one deterministic RNG per party per link — the exact shape
-/// RunMultipartyHorizontalDbscan consumes.
+/// RunHorizontalDbscan consumes.
 struct SessionRing {
   size_t parties = 0;
   /// channels[i][j] = party i's endpoint of the (i, j) link; null on the
@@ -124,7 +124,7 @@ struct SessionRing {
 
 /// Builds a SessionRing with the given key sizes. Pairwise key exchange
 /// runs every (a, b) pair in the same public order on one thread per party
-/// (mirroring ExecuteMultipartyHorizontal), then traffic counters are
+/// (mirroring PartyRuntime::ConnectMesh), then traffic counters are
 /// reset so tests observe protocol bytes only. Aborts on failure (test
 /// environments only).
 inline SessionRing MakeSessionRing(size_t parties, size_t paillier_bits = 256,
